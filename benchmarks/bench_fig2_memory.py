@@ -3,12 +3,13 @@
 The paper loads one Quagga router with N peers × X routes and plots
 resident table memory.  We regenerate both series:
 
-* **measured** — tracemalloc-observed memory of our own router's RIBs
+* **measured** — a deep size walk of our own router's RIBs
   under exactly that workload (real UPDATE messages through real
   sessions);
 * **modeled** — the calibrated Quagga memory model
-  (:class:`repro.emulation.quagga.QuaggaMemoryModel`), which extends the
-  curve to the Internet-scale 500K point the paper shows.
+  (:class:`repro.emulation.quagga.QuaggaMemoryModel`).
+
+Both series include the Internet-scale 500K × 1 point the paper shows.
 
 Shape checks: memory grows ~linearly in prefixes for fixed peers, and
 ~linearly in peers for fixed prefixes (the per-path term dominates).
@@ -27,12 +28,15 @@ from repro.sim import Engine
 
 PEER_COUNTS = [1, 2, 4, 8]
 PREFIX_COUNTS = [1_000, 3_000, 9_000]
+FULL_TABLE = 500_000
 
 DENY_ALL = RouteMap(name="deny-all")  # listener never re-exports
 
 
 def _prefixes(count):
-    """Distinct /24s out of 10.0.0.0/8 (room for 64K)."""
+    """``count`` distinct /24s counted up from 10.0.0.0: 65,536 fill
+    10.0.0.0/8 and the rest run on into 11/8, 12/8, ... (500K end in
+    17/8)."""
     base = IPAddress("10.0.0.0").value
     return [
         Prefix(IPAddress(base + (i << 8)), 24) for i in range(count)
@@ -40,7 +44,12 @@ def _prefixes(count):
 
 
 def load_router(n_peers: int, n_prefixes: int) -> BGPRouter:
-    """One listener; ``n_peers`` senders each announce ``n_prefixes``."""
+    """One listener; ``n_peers`` senders each announce ``n_prefixes``.
+
+    Each sender holds its table before its session comes up, so the table
+    crosses the wire as a full export: NLRI packed into 4096-byte UPDATEs,
+    as a real speaker sends it.
+    """
     engine = Engine()
     listener = BGPRouter(engine, asn=65000, router_id=IPAddress("10.255.0.1"))
     prefixes = _prefixes(n_prefixes)
@@ -48,6 +57,8 @@ def load_router(n_peers: int, n_prefixes: int) -> BGPRouter:
         sender = BGPRouter(
             engine, asn=65001 + i, router_id=IPAddress(f"10.254.0.{i + 1}")
         )
+        for prefix in prefixes:
+            sender.originate(prefix)
         connect_routers(
             engine,
             listener,
@@ -64,8 +75,6 @@ def load_router(n_peers: int, n_prefixes: int) -> BGPRouter:
                 local_address=sender.router_id,
             ),
         )
-        for prefix in prefixes:
-            sender.originate(prefix)
     engine.run_for(10)
     return listener
 
@@ -138,13 +147,15 @@ def test_fig2_full_grid(benchmark):
                     f"modeled(quagga) {model.table_megabytes(n_prefixes, n_peers):7.1f} MB",
                 ]
             )
-    # The paper's headline point: an Internet-scale table.
+    # The paper's headline point: an Internet-scale table, measured (about
+    # a minute and 1.7 GB peak RSS on a 2-vCPU Xeon VM).
+    full_table = measure_memory(1, FULL_TABLE)
     rows.append(
         [
-            "500000 prefixes",
+            f"{FULL_TABLE} prefixes",
             "1 peers",
-            "measured(ours)    (extrapolated)",
-            f"modeled(quagga) {model.table_megabytes(500_000, 1):7.1f} MB",
+            f"measured(ours) {full_table / 2**20:7.1f} MB",
+            f"modeled(quagga) {model.table_megabytes(FULL_TABLE, 1):7.1f} MB",
         ]
     )
     emit("Figure 2: BGP table memory", rows)

@@ -213,9 +213,6 @@ class PathAttributes:
     def prepended(self, asn: int, count: int = 1) -> "PathAttributes":
         return replace(self, as_path=self.as_path.prepend(asn, count))
 
-    def with_next_hop(self, next_hop: IPAddress) -> "PathAttributes":
-        return replace(self, next_hop=next_hop)
-
     def with_local_pref(self, local_pref: Optional[int]) -> "PathAttributes":
         return replace(self, local_pref=local_pref)
 

@@ -50,6 +50,7 @@ __all__ = [
     "KeepaliveMessage",
     "RouteRefreshMessage",
     "decode",
+    "split_routes",
     "MARKER",
     "HEADER_LEN",
     "MAX_MESSAGE_LEN",
@@ -571,6 +572,40 @@ class UpdateMessage:
             attributes=attributes,
             add_path=add_path,
         )
+
+
+# Bytes left for routes in one UPDATE: the message limit less the header
+# and the two 2-byte length fields (withdrawn routes, path attributes).
+_UPDATE_ROOM = MAX_MESSAGE_LEN - HEADER_LEN - 4
+
+
+def split_routes(
+    routes: Sequence[Tuple[Optional[int], Prefix]],
+    attributes: Optional[PathAttributes] = None,
+) -> List[Tuple[Tuple[Optional[int], Prefix], ...]]:
+    """Split ``(path_id, prefix)`` entries into runs that each fit one
+    UPDATE of at most :data:`MAX_MESSAGE_LEN` bytes (RFC 4271 §4.3).
+
+    The runs are withdrawn routes when ``attributes`` is None, else NLRI
+    sharing ``attributes``.  An entry costs its length byte, its address
+    bytes (up to 16 for IPv6) and 4 more with an ADD-PATH id (RFC 7911).
+    Order is kept.  An entry that cannot fit even alone still gets its own
+    run; encoding it then raises, as it would unsplit.
+    """
+    room = _UPDATE_ROOM
+    if attributes is not None:
+        room -= len(_encode_attributes(attributes))
+    runs: List[Tuple[Tuple[Optional[int], Prefix], ...]] = []
+    start = used = 0
+    for i, (path_id, prefix) in enumerate(routes):
+        size = 1 + (prefix.length + 7) // 8 + (0 if path_id is None else 4)
+        if used + size > room and i > start:
+            runs.append(tuple(routes[start:i]))
+            start, used = i, 0
+        used += size
+    if start < len(routes):
+        runs.append(tuple(routes[start:]))
+    return runs
 
 
 @dataclass

@@ -50,7 +50,22 @@ class Route:
     validation: Optional["ValidationState"] = None
 
     def with_attributes(self, attributes: PathAttributes) -> "Route":
-        return replace(self, attributes=attributes)
+        # One constructor call: every export builds a candidate route, and
+        # dataclasses.replace costs several times more.
+        return Route(
+            prefix=self.prefix,
+            attributes=attributes,
+            peer_asn=self.peer_asn,
+            peer_id=self.peer_id,
+            path_id=self.path_id,
+            ebgp=self.ebgp,
+            local=self.local,
+            weight=self.weight,
+            igp_metric=self.igp_metric,
+            learned_at=self.learned_at,
+            stale=self.stale,
+            validation=self.validation,
+        )
 
     def with_validation(self, validation: Optional["ValidationState"]) -> "Route":
         return replace(self, validation=validation)

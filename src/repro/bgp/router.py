@@ -14,13 +14,21 @@ memory.  It implements:
 * ADD-PATH transmit: up to ``add_path_limit`` ranked paths per prefix for
   peers that negotiated it (the BIRD-mode mux in §3);
 * optional MRAI batching per peer and max-prefix limits.
+
+Routes travel the way real speakers send them.  Work triggered by one
+received UPDATE, one full-table export or one session loss is queued per
+peer and flushed once at the end, so NLRI sharing attributes are packed
+into UPDATEs of at most 4096 bytes.  On receipt, the checks that depend
+only on the attributes run once per UPDATE, and every route from it
+shares one :class:`PathAttributes`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..net.addr import IPAddress, Prefix
 from ..net.channel import ChannelPair, Endpoint
@@ -38,7 +46,7 @@ from .errors import BGPError
 from .policy import RouteMap
 from .rib import AdjRIBIn, AdjRIBOut, LocRIB, Route
 from .session import BGPSession, SessionConfig
-from .messages import UpdateMessage
+from .messages import UpdateMessage, split_routes
 
 __all__ = ["PeerConfig", "BGPRouter", "connect_routers"]
 
@@ -80,6 +88,9 @@ class _Peer:
         self.pending_announce: Dict[Tuple[Prefix, Optional[int]], Route] = {}
         self.pending_withdraw: Set[Tuple[Prefix, Optional[int]]] = set()
         self.mrai_timer: Optional[Timer] = None
+        # Set while _flush sends, so a flush re-entered from a delivery
+        # leaves what it finds queued to the running one (wire order).
+        self.flushing = False
         self.prefix_limit_hit = False
         # RFC 4724: armed when the peer goes down gracefully; flushes the
         # stale-retained routes if the peer does not come back in time.
@@ -133,6 +144,10 @@ class BGPRouter:
         self.resolve_igp_metric: Optional[Callable[[IPAddress], int]] = None
         self.rejected_loops = 0
         self.rejected_policy = 0
+        # Deferred flush: while a batch is open, peers with queued
+        # updates wait here (insertion-ordered) instead of flushing.
+        self._batch_depth = 0
+        self._dirty: Dict[_Peer, None] = {}
 
     # -- peer management -----------------------------------------------------
 
@@ -239,62 +254,84 @@ class BGPRouter:
             # route it did not refresh is gone for real.
             self._flush_stale_routes(peer)
             return
-        touched: Set[Prefix] = set()
-        for path_id, prefix in update.withdrawn:
-            if peer.adj_in.remove(prefix, path_id) is not None:
-                touched.add(prefix)
-        if update.attributes is not None:
-            for path_id, prefix in update.nlri:
-                if self._accept(peer, prefix, path_id, update.attributes):
-                    touched.add(prefix)
-        for prefix in touched:
-            self._reselect(prefix)
+        with self._batch():
+            # Insertion-ordered: prefixes are reselected in UPDATE order.
+            touched: Dict[Prefix, None] = {}
+            for path_id, prefix in update.withdrawn:
+                if peer.adj_in.remove(prefix, path_id) is not None:
+                    touched[prefix] = None
+            if update.attributes is not None and update.nlri:
+                self._accept(peer, update.nlri, update.attributes, touched)
+            for prefix in touched:
+                self._reselect(prefix)
 
     def _accept(
         self,
         peer: _Peer,
-        prefix: Prefix,
-        path_id: Optional[int],
+        nlri: Sequence[Tuple[Optional[int], Prefix]],
         attributes: PathAttributes,
-    ) -> bool:
-        """Validate + apply import policy + install into Adj-RIB-In."""
+        touched: Dict[Prefix, None],
+    ) -> None:
+        """Validate + apply import policy + install one UPDATE's NLRI into
+        Adj-RIB-In, adding every prefix whose Adj-RIB-In changed to
+        ``touched``.
+
+        The loop, originator and cluster checks and the eBGP LOCAL_PREF
+        strip depend only on the attributes, so they run once; import
+        policy and the max-prefix limit run per NLRI, and the counters
+        count NLRI.
+        """
+        adj_in = peer.adj_in
         if attributes.as_path.contains(self.asn):
-            self.rejected_loops += 1
-            return peer.adj_in.remove(prefix, path_id) is not None
-        if attributes.originator_id == self.router_id:
-            return peer.adj_in.remove(prefix, path_id) is not None
-        if self.cluster_id in attributes.cluster_list:
-            return peer.adj_in.remove(prefix, path_id) is not None
-        ebgp = peer.config.remote_asn != self.asn
-        if ebgp:
+            self.rejected_loops += len(nlri)
+            rejected = True
+        else:
+            rejected = (
+                attributes.originator_id == self.router_id
+                or self.cluster_id in attributes.cluster_list
+            )
+        if rejected:
+            for path_id, prefix in nlri:
+                if adj_in.remove(prefix, path_id) is not None:
+                    touched[prefix] = None
+            return
+        config = peer.config
+        ebgp = config.remote_asn != self.asn
+        if ebgp and attributes.local_pref is not None:
             # LOCAL_PREF is not accepted across AS boundaries.
-            attributes = attributes.with_local_pref(None)
+            attributes = replace(attributes, local_pref=None)
         igp_metric = 0
         if self.resolve_igp_metric is not None and attributes.next_hop is not None:
             igp_metric = self.resolve_igp_metric(attributes.next_hop)
-        route = Route(
-            prefix=prefix,
-            attributes=attributes,
-            peer_asn=peer.config.remote_asn,
-            peer_id=peer.config.peer_id,
-            path_id=path_id,
-            ebgp=ebgp,
-            igp_metric=igp_metric,
-            learned_at=self.engine.now,
-        )
-        result = peer.config.import_policy.apply(route)
-        if not result.permitted:
-            self.rejected_policy += 1
-            return peer.adj_in.remove(prefix, path_id) is not None
-        if (
-            peer.config.max_prefixes is not None
-            and prefix not in peer.adj_in
-            and len(peer.adj_in) >= peer.config.max_prefixes
-        ):
-            peer.prefix_limit_hit = True
-            return False
-        peer.adj_in.add(result.route)
-        return True
+        import_policy = config.import_policy
+        max_prefixes = config.max_prefixes
+        now = self.engine.now
+        for path_id, prefix in nlri:
+            route = Route(
+                prefix=prefix,
+                attributes=attributes,
+                peer_asn=config.remote_asn,
+                peer_id=config.peer_id,
+                path_id=path_id,
+                ebgp=ebgp,
+                igp_metric=igp_metric,
+                learned_at=now,
+            )
+            result = import_policy.apply(route)
+            if not result.permitted:
+                self.rejected_policy += 1
+                if adj_in.remove(prefix, path_id) is not None:
+                    touched[prefix] = None
+                continue
+            if (
+                max_prefixes is not None
+                and prefix not in adj_in
+                and len(adj_in) >= max_prefixes
+            ):
+                peer.prefix_limit_hit = True
+                continue
+            adj_in.add(result.route)
+            touched[prefix] = None
 
     def _handle_established(self, peer: _Peer) -> None:
         self._full_export(peer)
@@ -318,8 +355,9 @@ class BGPRouter:
         peer.pending_withdraw.clear()
         if peer.restart_deadline is not None:
             peer.restart_deadline.stop()
-        for route in dropped:
-            self._reselect(route.prefix)
+        with self._batch():
+            for route in dropped:
+                self._reselect(route.prefix)
 
     def _retain_peer_routes(self, peer: _Peer) -> None:
         """RFC 4724 graceful restart: keep the peer's routes, stale-marked,
@@ -346,8 +384,9 @@ class BGPRouter:
         dropped = peer.adj_in.flush_stale()
         if dropped:
             peer.stale_flushes += len(dropped)
-        for route in dropped:
-            self._reselect(route.prefix)
+        with self._batch():
+            for route in dropped:
+                self._reselect(route.prefix)
 
     # -- decision + export ---------------------------------------------------------
 
@@ -366,13 +405,15 @@ class BGPRouter:
             self._candidates(prefix), always_compare_med=self.always_compare_med
         )
         changed = self.loc_rib.set(prefix, best, ranked)
-        if changed:
-            if self.on_best_change is not None:
-                self.on_best_change(prefix, old, best)
-        # Export runs even when only the alternate set changed: ADD-PATH
-        # peers see alternates, and a withdrawn alternate needs a withdraw.
+        if changed and self.on_best_change is not None:
+            self.on_best_change(prefix, old, best)
+        # ADD-PATH peers see alternates, so their export runs even when
+        # only the alternate set changed (a withdrawn alternate needs a
+        # withdraw).  Other peers see only the best: while it stands,
+        # their Adj-RIB-Out already holds what an export would produce.
         for peer in self._peers.values():
-            if peer.session.established:
+            session = peer.session
+            if session.established and (changed or session.add_path_active):
                 self._export_prefix(peer, prefix)
 
     def _exportable(self, peer: _Peer, route: Route) -> Optional[Route]:
@@ -402,26 +443,27 @@ class BGPRouter:
             # receiver would reject it anyway (loop detection).
             if attributes.as_path.contains(config.remote_asn):
                 return None
-            attributes = attributes.with_local_pref(None)
-            if not route.local:
-                # MED is non-transitive: only the originating neighbor AS's
-                # MED crosses one AS boundary.
-                attributes = attributes.with_med(None)
-            attributes = attributes.prepended(self.asn)
-            attributes = attributes.with_next_hop(config.local_address)
-            # Reflection state is iBGP-internal.
-            if attributes.originator_id is not None or attributes.cluster_list:
-                attributes = _strip_reflection(attributes)
+            attributes = PathAttributes(
+                origin=attributes.origin,
+                as_path=attributes.as_path.prepend(self.asn),
+                next_hop=config.local_address,
+                # MED is non-transitive: only the originating neighbor
+                # AS's MED crosses one AS boundary.
+                med=attributes.med if route.local else None,
+                communities=attributes.communities,
+                atomic_aggregate=attributes.atomic_aggregate,
+                aggregator=attributes.aggregator,
+                # LOCAL_PREF and reflection state are iBGP-internal.
+            )
         else:
-            if route.local or config.next_hop_self_ibgp or attributes.next_hop is None:
-                attributes = attributes.with_next_hop(config.local_address)
-            if attributes.local_pref is None:
-                attributes = attributes.with_local_pref(100)
+            next_hop = attributes.next_hop
+            if route.local or config.next_hop_self_ibgp or next_hop is None:
+                next_hop = config.local_address
+            local_pref = 100 if attributes.local_pref is None else attributes.local_pref
+            if next_hop != attributes.next_hop or local_pref != attributes.local_pref:
+                attributes = replace(attributes, next_hop=next_hop, local_pref=local_pref)
 
-        candidate = route.with_attributes(attributes)
-        result = config.export_policy.apply(candidate)
-        if not result.permitted:
-            return None
+        result = config.export_policy.apply(route.with_attributes(attributes))
         return result.route
 
     def _may_reflect(self, peer: _Peer, route: Route) -> bool:
@@ -436,58 +478,36 @@ class BGPRouter:
 
     def _export_prefix(self, peer: _Peer, prefix: Prefix) -> None:
         """Bring peer's Adj-RIB-Out for ``prefix`` in sync with Loc-RIB."""
+        peer_id = peer.config.peer_id
+        desired: Dict[Optional[int], Route] = {}
         if peer.session.add_path_active:
             ranked = [
-                r
-                for r in self.loc_rib.candidates(prefix)
-                if r.peer_id != peer.config.peer_id
+                r for r in self.loc_rib.candidates(prefix) if r.peer_id != peer_id
             ][: peer.config.add_path_limit]
-            desired: Dict[Optional[int], Route] = {}
             for route in ranked:
                 exported = self._exportable(peer, route)
                 if exported is not None:
                     pid = peer.path_id_for(route)
-                    desired[pid] = Route(
-                        prefix=exported.prefix,
-                        attributes=exported.attributes,
-                        peer_asn=exported.peer_asn,
-                        peer_id=exported.peer_id,
-                        path_id=pid,
-                        ebgp=exported.ebgp,
-                        local=exported.local,
-                        weight=exported.weight,
-                        learned_at=exported.learned_at,
-                    )
+                    desired[pid] = _advertised(exported, pid)
         else:
             best = self.loc_rib.best(prefix)
-            desired = {}
-            if best is not None and best.peer_id != peer.config.peer_id:
+            if best is not None and best.peer_id != peer_id:
                 exported = self._exportable(peer, best)
                 if exported is not None:
-                    desired[None] = Route(
-                        prefix=exported.prefix,
-                        attributes=exported.attributes,
-                        peer_asn=exported.peer_asn,
-                        peer_id=exported.peer_id,
-                        path_id=None,
-                        ebgp=exported.ebgp,
-                        local=exported.local,
-                        weight=exported.weight,
-                        learned_at=exported.learned_at,
-                    )
+                    desired[None] = _advertised(exported, None)
 
-        current_ids = set(peer.adj_out.path_ids(prefix))
-        desired_ids = set(desired)
-        for pid in current_ids - desired_ids:
-            peer.adj_out.withdraw(prefix, pid)
-            self._queue_withdraw(peer, prefix, pid)
-        for pid, route in desired.items():
+        for pid in peer.adj_out.path_ids(prefix):
+            if pid not in desired:
+                peer.adj_out.withdraw(prefix, pid)
+                self._queue_withdraw(peer, prefix, pid)
+        for route in desired.values():
             if peer.adj_out.advertise(route):
                 self._queue_announce(peer, route)
 
     def _full_export(self, peer: _Peer) -> None:
-        for prefix in set(self.loc_rib.prefixes()):
-            self._export_prefix(peer, prefix)
+        with self._batch():
+            for prefix in list(self.loc_rib.prefixes()):
+                self._export_prefix(peer, prefix)
 
     # -- update transmission (with optional MRAI batching) ----------------------
 
@@ -504,44 +524,86 @@ class BGPRouter:
         self._maybe_flush(peer)
 
     def _maybe_flush(self, peer: _Peer) -> None:
-        if peer.config.mrai <= 0:
+        if peer.config.mrai > 0:
+            if peer.mrai_timer is None:
+                peer.mrai_timer = self.engine.timer(
+                    peer.config.mrai,
+                    lambda: self._flush(peer),
+                    label=f"mrai:{peer.config.peer_id}",
+                )
+            if not peer.mrai_timer.running:
+                peer.mrai_timer.start()
+        elif self._batch_depth:
+            self._dirty[peer] = None
+        else:
             self._flush(peer)
-            return
-        if peer.mrai_timer is None:
-            peer.mrai_timer = self.engine.timer(
-                peer.config.mrai, lambda: self._flush(peer), label=f"mrai:{peer.config.peer_id}"
-            )
-        if not peer.mrai_timer.running:
-            peer.mrai_timer.start()
+
+    @contextmanager
+    def _batch(self) -> Iterator[None]:
+        """Defer flushes until the outermost batch ends, then flush each
+        dirty peer once, so its queued routes leave packed."""
+        self._batch_depth += 1
+        try:
+            yield
+        finally:
+            self._batch_depth -= 1
+            if not self._batch_depth:
+                while self._dirty:
+                    peer = next(iter(self._dirty))
+                    del self._dirty[peer]
+                    self._flush(peer)
 
     def _flush(self, peer: _Peer) -> None:
-        if not peer.session.established:
-            peer.pending_announce.clear()
-            peer.pending_withdraw.clear()
-            return
-        if peer.pending_withdraw:
-            items = sorted(peer.pending_withdraw, key=lambda k: (k[0].key(), k[1] or 0))
-            prefixes = [p for p, _ in items]
-            if peer.session.add_path_active:
-                peer.session.withdraw(prefixes, path_ids=[pid or 0 for _, pid in items])
-            else:
-                peer.session.withdraw(prefixes)
-            peer.pending_withdraw.clear()
-        if peer.pending_announce:
-            # Group by identical attributes so one UPDATE carries many NLRI.
-            groups: Dict[PathAttributes, List[Tuple[Prefix, Optional[int]]]] = {}
-            for (prefix, pid), route in peer.pending_announce.items():
-                groups.setdefault(route.attributes, []).append((prefix, pid))
-            for attributes, entries in groups.items():
-                entries.sort(key=lambda e: (e[0].key(), e[1] or 0))
-                prefixes = [p for p, _ in entries]
-                if peer.session.add_path_active:
-                    peer.session.announce(
-                        prefixes, attributes, path_ids=[pid or 0 for _, pid in entries]
-                    )
-                else:
-                    peer.session.announce(prefixes, attributes)
-            peer.pending_announce.clear()
+        if peer.flushing:
+            return  # the running flush sends what was queued meanwhile
+        peer.flushing = True
+        try:
+            while peer.pending_withdraw or peer.pending_announce:
+                withdrawn, peer.pending_withdraw = peer.pending_withdraw, set()
+                announced, peer.pending_announce = peer.pending_announce, {}
+                if not self._send_pending(peer, withdrawn, announced):
+                    peer.pending_announce.clear()
+                    peer.pending_withdraw.clear()
+        finally:
+            peer.flushing = False
+
+    def _send_pending(
+        self,
+        peer: _Peer,
+        withdrawn: Set[Tuple[Prefix, Optional[int]]],
+        announced: Dict[Tuple[Prefix, Optional[int]], Route],
+    ) -> bool:
+        """Send withdrawals, then announcements grouped by identical
+        attributes, each split into UPDATEs that fit 4096 bytes; False if
+        the session is (or goes) down first."""
+        session = peer.session
+        add_path = session.add_path_active
+
+        def entries(
+            keys: Iterable[Tuple[Prefix, Optional[int]]]
+        ) -> List[Tuple[Optional[int], Prefix]]:
+            ordered = sorted(keys, key=lambda k: (k[0].key(), k[1] or 0))
+            if add_path:
+                return [(pid or 0, prefix) for prefix, pid in ordered]
+            return [(None, prefix) for prefix, _ in ordered]
+
+        updates: List[UpdateMessage] = []
+        if withdrawn:
+            for run in split_routes(entries(withdrawn)):
+                updates.append(UpdateMessage(withdrawn=run, add_path=add_path))
+        groups: Dict[PathAttributes, List[Tuple[Prefix, Optional[int]]]] = {}
+        for key, route in announced.items():
+            groups.setdefault(route.attributes, []).append(key)
+        for attributes, keys in groups.items():
+            for run in split_routes(entries(keys), attributes):
+                updates.append(
+                    UpdateMessage(nlri=run, attributes=attributes, add_path=add_path)
+                )
+        for update in updates:
+            if not session.established:
+                return False
+            session.send_update(update)
+        return True
 
     # -- introspection -------------------------------------------------------------
 
@@ -571,10 +633,20 @@ def _originator_of(route: Route, default: IPAddress) -> IPAddress:
         return default
 
 
-def _strip_reflection(attributes: PathAttributes) -> PathAttributes:
-    from dataclasses import replace
-
-    return replace(attributes, originator_id=None, cluster_list=())
+def _advertised(exported: Route, path_id: Optional[int]) -> Route:
+    """The Adj-RIB-Out entry for a post-policy route: the outgoing path id,
+    without receive-side state (IGP metric, staleness, validation)."""
+    return Route(
+        prefix=exported.prefix,
+        attributes=exported.attributes,
+        peer_asn=exported.peer_asn,
+        peer_id=exported.peer_id,
+        path_id=path_id,
+        ebgp=exported.ebgp,
+        local=exported.local,
+        weight=exported.weight,
+        learned_at=exported.learned_at,
+    )
 
 
 def connect_routers(

@@ -193,6 +193,9 @@ class Prefix:
     The host bits of the supplied address must be zero unless
     ``strict=False``, in which case they are masked off — matching the
     behaviour a router applies when installing a route.
+
+    Prefixes key every RIB dict, so :meth:`key`, hashing and equality read
+    the slots directly, with no property or method call in between.
     """
 
     __slots__ = ("_address", "_length")
@@ -298,10 +301,20 @@ class Prefix:
 
     def key(self) -> Tuple[int, int, int]:
         """A cheap sortable/hashable key ``(version, address, length)``."""
-        return (self.version, self._address.value, self._length)
+        address = self._address
+        return (address._version, address._value, self._length)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Prefix) and self.key() == other.key()
+        if self is other:
+            return True
+        if not isinstance(other, Prefix):
+            return False
+        mine, theirs = self._address, other._address
+        return (
+            self._length == other._length
+            and mine._value == theirs._value
+            and mine._version == theirs._version
+        )
 
     def __lt__(self, other: "Prefix") -> bool:
         if not isinstance(other, Prefix):
@@ -309,7 +322,10 @@ class Prefix:
         return self.key() < other.key()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        # Version is left out: equal prefixes still hash equal, and a v4/v6
+        # collision only costs one __eq__.  Computing this is as cheap as
+        # reading a cached value, and caching would cost every first hash.
+        return hash((self._address._value, self._length))
 
     def __str__(self) -> str:
         return f"{self._address}/{self._length}"

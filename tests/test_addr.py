@@ -185,3 +185,32 @@ def test_prefix_contains_own_addresses(value, length):
 def test_supernet_contains_subnet(value, length):
     p = Prefix(IPAddress(value, 4), length, strict=False)
     assert p.supernet().contains(p)
+
+
+@given(
+    st.sampled_from([4, 6]),
+    st.integers(min_value=0, max_value=(1 << 128) - 1),
+    st.integers(min_value=0, max_value=128),
+    st.integers(min_value=0, max_value=128),
+)
+def test_prefix_equality_hash_and_key_agree(version, value, length_a, length_b):
+    """Equality is exactly key equality, equal prefixes hash equal, and
+    both hold across address families and pickling."""
+    import pickle
+
+    bits = 32 if version == 4 else 128
+    value &= (1 << bits) - 1
+    a = Prefix(IPAddress(value, version), min(length_a, bits), strict=False)
+    b = Prefix(IPAddress(value, version), min(length_b, bits), strict=False)
+    # The v4 prefix with a v6 prefix's (small) value, or the reverse.
+    other_family = Prefix(IPAddress(a.address.value & 0xFFFFFFFF, 10 - version),
+                          min(a.length, 32), strict=False)
+    expected = (version, a.address.value, a.length)
+    assert a.key() == expected
+    assert (a == b) == (a.key() == b.key())
+    if a == b:
+        assert hash(a) == hash(b)
+    assert a != other_family and a.key() != other_family.key()
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a) and copy.key() == a.key()
+    assert len({a, b, copy, other_family}) == (2 if a == b else 3)

@@ -23,8 +23,10 @@ from repro.bgp.messages import (
     NotificationMessage,
     OpenMessage,
     RouteRefreshMessage,
+    MAX_MESSAGE_LEN,
     UpdateMessage,
     decode,
+    split_routes,
 )
 
 
@@ -261,3 +263,74 @@ def test_update_roundtrip_property(prefixes, path, med, local_pref, communities)
     decoded = decode(update.encode())
     assert decoded.prefixes() == prefixes
     assert decoded.attributes == attrs
+
+
+v6_prefixes = st.builds(
+    lambda v, l: Prefix(IPAddress(v, 6), l, strict=False),
+    st.integers(min_value=0, max_value=(1 << 128) - 1),
+    st.integers(min_value=0, max_value=128),
+)
+
+
+@given(
+    st.one_of(
+        st.lists(v4_prefixes, min_size=1, max_size=1500),
+        st.lists(v6_prefixes, min_size=1, max_size=600),
+    ),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=400)),
+)
+def test_split_routes_fills_updates_to_the_limit(prefixes, add_path, n_communities):
+    """Runs keep order, each encodes within 4096 bytes (ADD-PATH ids and
+    IPv6 lengths counted) and decodes back, and no run could take the
+    next entry."""
+    version = prefixes[0].version
+    routes = [(i if add_path else None, p) for i, p in enumerate(prefixes)]
+    attrs = None
+    if n_communities is not None:
+        attrs = PathAttributes(
+            as_path=ASPath.from_asns([65001, 65002]),
+            next_hop=IPAddress("192.0.2.1"),
+            communities=frozenset(Community(65001, v) for v in range(n_communities)),
+        )
+    runs = split_routes(routes, attrs)
+    assert [entry for run in runs for entry in run] == routes
+
+    def message(entries):
+        if attrs is None:
+            return UpdateMessage(withdrawn=tuple(entries), add_path=add_path)
+        return UpdateMessage(nlri=tuple(entries), attributes=attrs, add_path=add_path)
+
+    for i, run in enumerate(runs):
+        wire = message(run).encode()
+        assert len(wire) <= MAX_MESSAGE_LEN
+        decoded = decode(wire, add_path=add_path, version=version)
+        assert list(decoded.withdrawn if attrs is None else decoded.nlri) == list(run)
+        if i + 1 < len(runs):
+            with pytest.raises(MessageDecodeError):
+                message(run + (runs[i + 1][0],)).encode()
+
+
+def test_split_routes_keeps_a_small_update_whole():
+    routes = [(None, Prefix(f"10.0.{i}.0/24")) for i in range(100)]
+    assert split_routes(routes) == [tuple(routes)]
+    assert split_routes([]) == []
+
+
+@pytest.mark.parametrize(
+    "base,length,add_path,per_run",
+    [
+        ("10.0.0.0", 24, False, 1018),  # 4 bytes each in 4,073
+        ("10.0.0.0", 24, True, 509),  # + 4-byte path id
+        ("2001:db8::", 48, True, 370),  # 1 + 6 + 4 bytes
+    ],
+)
+def test_split_routes_run_sizes(base, length, add_path, per_run):
+    start = IPAddress(base)
+    step = 1 << (start.bits - length)
+    routes = [
+        (i + 1 if add_path else None, Prefix(start + i * step, length)) for i in range(2000)
+    ]
+    runs = split_routes(routes)
+    assert [len(run) for run in runs[:-1]] == [per_run] * (len(runs) - 1)
+    assert sum(len(run) for run in runs) == 2000

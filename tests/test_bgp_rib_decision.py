@@ -1,5 +1,7 @@
 """Tests for RIB stages and the decision process."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.net.addr import IPAddress, Prefix
@@ -42,6 +44,31 @@ def route(
         igp_metric=igp_metric,
         learned_at=learned_at,
     )
+
+
+def test_with_attributes_keeps_every_other_field():
+    from repro.secroute.rpki import ValidationState
+
+    original = Route(
+        prefix=P,
+        attributes=PathAttributes(as_path=ASPath.from_asns((1,))),
+        peer_asn=1,
+        peer_id="peer-a",
+        path_id=3,
+        ebgp=False,
+        local=True,
+        weight=5,
+        igp_metric=7,
+        learned_at=9.0,
+        stale=True,
+        validation=ValidationState.VALID,
+    )
+    replacement = PathAttributes(as_path=ASPath.from_asns((2,)))
+    copy = original.with_attributes(replacement)
+    assert copy.attributes is replacement
+    for f in fields(Route):
+        if f.name != "attributes":
+            assert getattr(copy, f.name) == getattr(original, f.name), f.name
 
 
 class TestAdjRIBIn:
