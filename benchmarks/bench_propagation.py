@@ -36,7 +36,12 @@ floor for single-announcement incremental reconvergence; the scale run
 adds a 3x floor for the cone regime, a 2x floor for the parallel sweep
 over serial delta chaining (enforced only on machines with >= 4 CPUs —
 the fan-out cannot win on a 1-core box), and bounds the 50k sweep
-wall-clock relative to its baseline.
+wall-clock relative to its baseline.  The scale run also times full
+converges of four announcement shapes (3-origin anycast, 2-origin
+hijack, poisoned single spec, Peerlock-secured 3-origin) against the
+same run's single-spec converge, and caps multi-spec at 3x and secured
+at 5x of it: every shape runs on the one propagation kernel, so none
+may fall back to a slow path.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ from repro.inet.gen import (
     load_caida_serial,
 )
 from repro.inet.routing import Announcement, OriginSpec, propagate
+from repro.net.addr import Prefix
+from repro.secroute import SecurityPolicy
 
 BASELINE = Path(__file__).with_name("BENCH_propagation_baseline.json")
 SCALE_BASELINE = Path(__file__).with_name(
@@ -75,6 +82,10 @@ CONE_FLOOR = 3.0
 # with real cores to fan out over.
 PARALLEL_FLOOR = 2.0
 PARALLEL_GATE_MIN_CPUS = 4
+# Ceilings for full converges of other announcement shapes relative to
+# the single-spec converge measured in the same run.
+MULTI_CEIL = 3.0
+SECURE_CEIL = 5.0
 
 
 def build_world(quick: bool):
@@ -246,6 +257,60 @@ def cone_regime(engine, graph, target_frac=0.045, repeat=5):
     }
 
 
+def shape_regimes(engine, graph, origin, repeat=5):
+    """Full converges per announcement shape, as ratios to a single-spec
+    converge timed in the same interleaved rounds.
+
+    Anycast sites and the hijack pair are drawn from a fixed seed: three
+    transit ASes, and two stubs (victim, attacker).  The poisoned single
+    spec poisons one of ``origin``'s providers (a neighbor if it has
+    none).  The secured shape is the anycast announcement under Peerlock
+    on the tier-1 clique plus Peerlock-lite at a third of the transit
+    ASes, compiled once so only the converge is timed."""
+    rng = random.Random(7)
+    asns = sorted(graph.asns())
+    transit = [a for a in asns if graph.customers(a) and graph.providers(a)]
+    stubs = sorted(graph.stub_asns())
+    sites = rng.sample(transit, 3)
+    victim, attacker = rng.sample(stubs, 2)
+    anycast = Announcement(
+        origins=tuple(OriginSpec(asn=a) for a in sites),
+        prefix=Prefix("198.18.0.0/24"),
+    )
+    policy = SecurityPolicy().lock_clique(graph.tier1_clique())
+    policy.peerlock_lite = frozenset(rng.sample(transit, len(transit) // 3))
+    shapes = {
+        "single": (Announcement.single(origin), None),
+        "anycast3": (anycast, None),
+        "hijack2": (
+            Announcement(
+                origins=(OriginSpec(asn=victim), OriginSpec(asn=attacker))
+            ),
+            None,
+        ),
+        "poisoned": (
+            Announcement.single(
+                origin,
+                poison=(min(graph.providers(origin) or graph.neighbors(origin)),),
+            ),
+            None,
+        ),
+        "secure3": (anycast, policy.compile_for(anycast)),
+    }
+    best = dict.fromkeys(shapes, float("inf"))
+    for _ in range(repeat):
+        for name, (ann, sec) in shapes.items():
+            start = time.perf_counter()
+            engine.propagate(ann, use_cache=False, security=sec)
+            best[name] = min(best[name], time.perf_counter() - start)
+    single = best["single"]
+    result = {f"{name}_s": round(t, 6) for name, t in best.items()}
+    for name in shapes:
+        if name != "single":
+            result[f"{name}_vs_single"] = round(best[name] / single, 2)
+    return result
+
+
 def run_benchmarks(quick: bool, parallel: int):
     graph = build_world(quick)
     origin = pick_origin(graph)
@@ -351,6 +416,7 @@ def run_scale_benchmarks(n_ases: int, workers: int, topology: str = None):
 
     delta = delta_regime(engine, origin)
     cone = cone_regime(engine, graph)
+    regimes = shape_regimes(engine, graph, origin)
 
     sweep = steering_sweep(graph, origin, 100)
     serial_s = timed(lambda: engine.propagate_many(sweep, use_cache=False))
@@ -382,6 +448,7 @@ def run_scale_benchmarks(n_ases: int, workers: int, topology: str = None):
         },
         "delta": delta,
         "cone": cone,
+        "regimes": regimes,
         "sweep": {
             "total_s": round(serial_s, 3),
             "per_point_ms": round(serial_s / len(sweep) * 1e3, 3),
@@ -396,6 +463,13 @@ def _gate(label, now, floor, failures):
     status = "ok" if now >= floor else "FAIL"
     print(f"regression gate [{label}]: {now:.2f} (floor {floor:.2f}) {status}")
     if now < floor:
+        failures.append(label)
+
+
+def _ceiling(label, now, ceil, failures):
+    status = "ok" if now <= ceil else "FAIL"
+    print(f"regression gate [{label}]: {now:.2f} (ceiling {ceil:.2f}) {status}")
+    if now > ceil:
         failures.append(label)
 
 
@@ -460,6 +534,16 @@ def check_scale_regression(results) -> int:
         results["cone"]["speedup"],
         max(CONE_FLOOR, base_cone / 2),
         failures,
+    )
+    regimes = results["regimes"]
+    for shape in ("anycast3", "hijack2"):
+        _ceiling(
+            f"scale multi/single ({shape})",
+            regimes[f"{shape}_vs_single"], MULTI_CEIL, failures,
+        )
+    _ceiling(
+        "scale secure/single (secure3)",
+        regimes["secure3_vs_single"], SECURE_CEIL, failures,
     )
     # The parallel fan-out can only beat the serial delta chain with
     # real cores behind it; a 1-core box timeshares the workers and

@@ -16,22 +16,33 @@ convergence.
 
 The trick that makes the route table sufficient: in each propagation
 phase, every AS on a candidate's path is already *finalized* (it either
-originated the route or was popped from the phase heap earlier), so the
+originated the route or settled at a shorter path length), so the
 reference's ``neighbor not in path`` loop check decomposes exactly into
 
-* "neighbor already holds a route" — one bitmap read, and
-* "neighbor's ASN appears in the origin's export path" (prepends and
-  poison sentinels) — one frozenset membership test.
+* "neighbor already holds a route" — one bytearray read, and
+* "neighbor's ASN appears in the origin's export path" (prepends, poison
+  and leak suffixes) — folded into the same bytearray for one spec, one
+  set membership test per spec otherwise.
 
-Neither needs the path.  Index order is ASN order, so integer heap
-entries tie-break identically to the reference's ASN/path comparisons —
-the engine is route-for-route identical to ``propagate()`` (property
-tests in ``tests/test_inet_engine.py`` enforce this).
+Neither needs the path.  Path lengths are small integers, so phases 1
+and 3 run as one **level-synchronous kernel** (Dial's bucket queue):
+exporters are bucketed by the path length they export at, levels run in
+ascending order, and within a level candidates come in (via index,
+export-path rank, spec) order.  Index order is ASN order and the first
+writer of a slot wins, which is exactly the reference heap's pop order —
+the engine is route-for-route identical to ``propagate()`` for single,
+multi-spec and secured announcements alike (property tests in
+``tests/test_inet_engine.py`` and ``tests/test_secroute.py`` enforce
+this).  Security filters are one more per-candidate test, with the
+Peerlock path mask carried per slot.  Incremental reconvergence
+(:meth:`PropagationEngine.propagate_delta`) reseeds on the same level
+loop with the surviving entries frozen.
 
 On top sit an LRU result cache keyed by ``(graph version, canonical
-announcement)`` and :meth:`PropagationEngine.propagate_many`, which fans
-a sweep out over a ``multiprocessing`` pool, shipping the compiled
-topology once per worker and compact route tables back.
+announcement)`` and :meth:`PropagationEngine.propagate_many`, which chains
+a sweep through delta reconvergence or fans it out over a
+``multiprocessing`` pool, shipping the compiled topology once per worker
+and compact route tables back.
 """
 
 from __future__ import annotations
@@ -39,7 +50,6 @@ from __future__ import annotations
 import os
 from array import array
 from collections import OrderedDict
-from heapq import heappop, heappush
 from time import perf_counter
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterator, List, Optional,
@@ -66,20 +76,20 @@ _CUSTOMER = int(RouteKind.CUSTOMER)
 _PEER = int(RouteKind.PEER)
 _PROVIDER = int(RouteKind.PROVIDER)
 
-# Empty tie-break rank for non-origin heap entries.  Origin entries carry
-# their export path here, mirroring the reference heap's path comparison
-# when (pathlen, via, target) tie between two specs of one origin.
-_NO_RANK: Tuple[int, ...] = ()
-
 # One compiled origin spec: (origin_index, export_path, export_set,
 # announce_to_set); and the parent-pointer route table (kind, via, root,
 # plen) every converge function returns.
 SpecT = Tuple[int, Tuple[int, ...], FrozenSet[int], Optional[FrozenSet[int]]]
 TableT = Tuple[bytearray, List[int], List[int], List[int]]
+# Security indexed against a topology, as _index_security returns it:
+# (drops, omask, bit, rej_up, rej); and the (fmask, drops, omask, bit,
+# rej) tuple one _settle_levels phase filters candidates with.
+_SecT = Tuple[List[FrozenSet[int]], List[int], List[int], List[int], List[int]]
+_SecLoopT = Tuple[List[int], List[FrozenSet[int]], List[int], List[int], List[int]]
 
 # _converge_delta gives up (falls back to a full run) when the dirty cone
 # exceeds n / _CONE_BAIL_DEN slots — incremental work on a region that
-# large loses to the heap-free full converge.
+# large loses to the full converge.
 _CONE_BAIL_DEN = 3
 
 
@@ -266,9 +276,210 @@ def _compile_specs(
     return tuple(specs)
 
 
+def _index_security(
+    ct: CompiledTopology,
+    specs: Sequence[SpecT],
+    sec: "CompiledSecurity",
+) -> _SecT:
+    """Index a :class:`~repro.secroute.policy.CompiledSecurity` against
+    this topology and spec tuple.
+
+    * ``drops[si]`` — node indices whose ROV refuses spec ``si``'s
+      (Invalid) origin.
+    * ``omask[si]`` — Peerlock bits of spec ``si``'s export-path tail.
+    * ``bit[i]`` — node i's own Peerlock bit (0 when untracked).
+    * ``rej_up[i]`` / ``rej[i]`` — the bits that make node i refuse a
+      path: its protected set, plus the tier-1 mask when Peerlock-lite
+      applies (customer-learned routes only, hence phase 1 alone).
+
+    Only tracked ASes get nonzero entries, so the arrays are filled from
+    the (small) policy maps rather than by n dictionary lookups."""
+    n = ct.n
+    idx = ct.idx
+    drops: List[FrozenSet[int]] = []
+    omask: List[int] = []
+    for _oi, epath, _eset, _ato in specs:
+        droppers = sec.drops.get(epath[-1])
+        drops.append(
+            frozenset(idx[a] for a in droppers if a in idx)
+            if droppers else frozenset()
+        )
+        omask.append(sec.path_mask(epath[1:]))
+    bit = [0] * n
+    for asn, b in sec.bits.items():
+        i = idx.get(asn)
+        if i is not None:
+            bit[i] = b
+    rej = [0] * n
+    for asn, m in sec.pmask.items():
+        i = idx.get(asn)
+        if i is not None:
+            rej[i] = m
+    rej_up = rej
+    if sec.t1mask and sec.lite:
+        rej_up = list(rej)
+        for asn in sec.lite:
+            i = idx.get(asn)
+            if i is not None:
+                rej_up[i] |= sec.t1mask
+    return drops, omask, bit, rej_up, rej
+
+
+def _blocked_sets(
+    ct: CompiledTopology, specs: Sequence[SpecT]
+) -> List[Optional[FrozenSet[int]]]:
+    """Per spec, the node indices its export path blocks by loop
+    detection (poison and suffix ASNs present in the graph, the origin
+    itself excluded), or None when there are none."""
+    idx_get = ct.idx.get
+    blocked: List[Optional[FrozenSet[int]]] = []
+    for oi, _epath, eset, _ato in specs:
+        blk = frozenset(
+            i for i in map(idx_get, eset) if i is not None and i != oi
+        )
+        blocked.append(blk or None)
+    return blocked
+
+
+def _settle_levels(
+    adj: List[Tuple[int, ...]],
+    code: int,
+    buckets: Dict[int, List[int]],
+    seeds: Dict[int, List[int]],
+    specs: Sequence[SpecT],
+    blocked: Sequence[Optional[FrozenSet[int]]],
+    asns: List[int],
+    table: TableT,
+    avail: bytearray,
+    sec: Optional[_SecLoopT],
+    fused: bool,
+) -> None:
+    """One Gao–Rexford shortest-path phase (1: ``adj`` = providers, 3:
+    ``adj`` = customers) as Dial's bucket queue over path-length levels.
+
+    ``buckets[L]`` holds the exporters (settled non-origin slots) whose
+    routes reach their ``adj`` neighbors at path length ``L``;
+    ``seeds[L]`` the specs whose origin exports at ``L``, in (origin,
+    export path, spec) order.  Levels run in ascending order and a
+    level's exporters in ascending index, so the first writer of a slot
+    holds the minimum ``(pathlen, via)`` candidate — the reference
+    heap's pop order, with no heap.  Origin seeds run after a level's
+    exporters and take over a slot settled at the same level through a
+    higher via: exactly the candidate the heap would have popped first.
+    Specs of one origin with equal export-path lengths are seeded in
+    export-path order, which is the reference's path tie-break.
+
+    ``avail[t]`` is 1 iff t holds no route and no spec-independent rule
+    blocks it; ``blocked[si]`` adds spec ``si``'s in-graph poison/suffix
+    ASNs (None when empty or already folded into ``avail``).  With
+    ``sec`` = ``(fmask, drops, omask, bit, rej)`` a candidate is also
+    refused when the target drops the spec's origin or the candidate
+    path's Peerlock mask hits ``rej[t]``; a refused candidate leaves the
+    slot open for a worse one, as the reference's pop-time check does.
+    ``fused`` marks an unsecured single spec: ``root`` is already 0
+    everywhere and ``avail`` carries every block, so the per-edge work
+    is one bytearray read.
+    """
+    kind, via, root, plen = table
+    for lvl in seeds:
+        buckets.setdefault(lvl, [])
+    while buckets:
+        lvl = min(buckets)
+        frontier = buckets.pop(lvl)
+        frontier.sort()
+        nxt: List[int] = []
+        push = nxt.append
+        if fused:
+            for e in frontier:
+                for t in adj[e]:
+                    if avail[t]:
+                        avail[t] = 0
+                        kind[t] = code
+                        via[t] = e
+                        plen[t] = lvl
+                        push(t)
+        elif sec is None:
+            for e in frontier:
+                si = root[e]
+                blk = blocked[si]
+                if blk is None:
+                    for t in adj[e]:
+                        if avail[t]:
+                            avail[t] = 0
+                            kind[t] = code
+                            via[t] = e
+                            root[t] = si
+                            plen[t] = lvl
+                            push(t)
+                else:
+                    for t in adj[e]:
+                        if avail[t] and t not in blk:
+                            avail[t] = 0
+                            kind[t] = code
+                            via[t] = e
+                            root[t] = si
+                            plen[t] = lvl
+                            push(t)
+        else:
+            fmask, drops, _omask, bit, rej = sec
+            for e in frontier:
+                si = root[e]
+                blk = blocked[si]
+                drop = drops[si]
+                m = fmask[e]
+                fm = m | bit[e]
+                for t in adj[e]:
+                    if (
+                        avail[t]
+                        and (blk is None or t not in blk)
+                        and t not in drop
+                        and not m & rej[t]
+                    ):
+                        avail[t] = 0
+                        kind[t] = code
+                        via[t] = e
+                        root[t] = si
+                        plen[t] = lvl
+                        fmask[t] = fm
+                        push(t)
+        for si in seeds.get(lvl, ()):
+            oi, _epath, _eset, ato = specs[si]
+            if sec is not None:
+                fmask, drops, omask, bit, rej = sec
+            blk = blocked[si]
+            for t in adj[oi]:
+                if ato is not None and asns[t] not in ato:
+                    continue
+                if blk is not None and t in blk:
+                    continue
+                fresh = avail[t]
+                if not fresh and not (
+                    kind[t] == code and plen[t] == lvl and via[t] > oi
+                ):
+                    continue
+                if sec is not None:
+                    if t in drops[si] or omask[si] & rej[t]:
+                        continue
+                    fmask[t] = omask[si] | bit[oi]
+                if fresh:
+                    avail[t] = 0
+                    kind[t] = code
+                    plen[t] = lvl
+                    push(t)
+                via[t] = oi
+                root[t] = si
+        if nxt:
+            bucket = buckets.get(lvl + 1)
+            if bucket is None:
+                buckets[lvl + 1] = nxt
+            else:
+                bucket.extend(nxt)
+
+
 def _converge(
     ct: CompiledTopology,
     specs: Sequence[SpecT],
+    security: Optional["CompiledSecurity"] = None,
 ) -> TableT:
     """Run the three Gao–Rexford phases over the compiled topology.
 
@@ -276,472 +487,140 @@ def _converge(
     ``kind[i]`` is the RouteKind value (0 = unreached; nonzero doubles as
     the "has a route" bitmap), ``via[i]`` the neighbor index forwarded to
     (-1 at origins), ``root[i]`` the spec index whose export path
-    terminates i's parent chain, ``plen[i]`` the AS-path length.
+    terminates i's parent chain, ``plen[i]`` the AS-path length.  An
+    unsecured single-spec table has ``root`` 0 everywhere; otherwise
+    origins and unreached slots hold -1.
 
-    Heap entries encode ``(pathlen, via, target)`` as the single integer
-    ``pathlen*n² + via*n + target``, which orders identically to the
-    reference heap because index order is ASN order.  With one origin
-    spec every key is unique — each (via, target) pair is pushed at most
-    once — so the single-spec fast path heaps bare ints.  With several
-    specs, keys can collide between specs of one origin and the
-    reference breaks that tie by comparing export paths, so entries
-    become ``(key, export_path_rank, spec_index)`` tuples.
+    Phases 1 and 3 are :func:`_settle_levels`; phase 2 is one pass over
+    the peer-edge exporters.  With one spec its poison/suffix ASNs fold
+    into ``avail``, so the per-edge test is one bytearray read.
     """
-    if len(specs) == 1:
-        return _converge_single(ct, *specs[0])
-
     n = ct.n
-    n2 = n * n
     asns = ct.asns
-    providers = ct.providers
-    customers = ct.customers
     peers = ct.peers
-    push_ = heappush
-    pop_ = heappop
+    single = len(specs) == 1
 
     kind = bytearray(n)
     via: List[int] = [-1] * n
-    root: List[int] = [-1] * n
+    root: List[int] = [0 if single and security is None else -1] * n
     plen: List[int] = [0] * n
+    table: TableT = (kind, via, root, plen)
+    avail = bytearray(b"\x01") * n
 
-    for oi, _epath, _eset, _ato in specs:
-        kind[oi] = _ORIGIN
-    spec_sets = [s[2] for s in specs]
-
-    # ---- Phase 1: customer routes climb provider edges ---------------------
-    heap: List[Tuple[int, Tuple[int, ...], int]] = []
-    for si, (oi, epath, eset, ato) in enumerate(specs):
-        base = len(epath) * n2 + oi * n
-        for p in providers[oi]:
-            pasn = asns[p]
-            if (ato is None or pasn in ato) and pasn not in eset:
-                push_(heap, (base + p, epath, si))
-    while heap:
-        key, _rank, si = pop_(heap)
-        t = key % n
-        if kind[t]:
-            continue
-        rest = key // n
-        kind[t] = _CUSTOMER
-        via[t] = rest % n
-        root[t] = si
-        plen[t] = rest // n
-        nbase = key - key % n2 + n2 + t * n  # (pathlen+1, via=t, ·)
-        eset = spec_sets[si]
-        for p in providers[t]:
-            if not kind[p] and asns[p] not in eset:
-                push_(heap, (nbase + p, _NO_RANK, si))
-
-    # ---- Phase 2: one hop across peer edges --------------------------------
-    # Candidates per peer, best (pathlen, exporter) wins; strict < keeps
-    # the earlier (lower-ASN) exporter on ties, as in the reference.
+    blocked = _blocked_sets(ct, specs)
     specs_of_origin: Dict[int, List[int]] = {}
     for si, (oi, _epath, _eset, _ato) in enumerate(specs):
+        kind[oi] = _ORIGIN
+        avail[oi] = 0
         specs_of_origin.setdefault(oi, []).append(si)
+    fused = single and security is None
+    if single and blocked[0] is not None:
+        for i in blocked[0]:
+            avail[i] = 0
+        blocked[0] = None
+    seed_order = sorted(
+        range(len(specs)), key=lambda si: (specs[si][0], specs[si][1], si)
+    )
+    seeds: Dict[int, List[int]] = {}
+    for si in seed_order:
+        seeds.setdefault(len(specs[si][1]), []).append(si)
+
+    sec: Optional[_SecLoopT] = None
+    sec3 = sec
+    drops: List[FrozenSet[int]] = []
+    omask: List[int] = []
+    bit: List[int] = []
+    rej: List[int] = []
+    fmask: List[int] = []
+    if security is not None:
+        drops, omask, bit, rej_up, rej = _index_security(ct, specs, security)
+        fmask = [0] * n
+        sec = (fmask, drops, omask, bit, rej_up)
+        sec3 = (fmask, drops, omask, bit, rej)
+
+    # ---- Phase 1: customer routes climb provider edges ---------------------
+    _settle_levels(
+        ct.providers, _CUSTOMER, {}, seeds, specs, blocked, asns,
+        table, avail, sec, fused,
+    )
+
+    # ---- Phase 2: one hop across peer edges --------------------------------
+    # Exporters run in ascending index and each offers a peer at most one
+    # route, so the first candidate at a path length already has the
+    # lowest via: the incumbent test is the strict length comparison.
     cand: Dict[int, Tuple[int, int, int]] = {}
-    for e in ct.peer_nodes:
-        k = kind[e]
-        if not k:
-            continue
-        pe = peers[e]
-        if k == _ORIGIN:
-            # Later specs of the same origin overwrite earlier ones per
-            # peer (reference dict-comprehension semantics).
-            base_spec: Dict[int, Tuple[int, int]] = {}
-            for si in specs_of_origin[e]:
-                _oi, epath, eset, ato = specs[si]
-                pl = len(epath)
-                for p in pe:
-                    if ato is None or asns[p] in ato:
-                        base_spec[p] = (pl, si)
-            for p, (pl, si) in base_spec.items():
-                if kind[p] or asns[p] in spec_sets[si]:
-                    continue
-                inc = cand.get(p)
-                if inc is None or pl < inc[0] or (pl == inc[0] and e < inc[1]):
-                    cand[p] = (pl, e, si)
-        else:
-            pl = plen[e] + 1
-            si = root[e]
-            eset = spec_sets[si]
-            for p in pe:
-                if kind[p] or asns[p] in eset:
-                    continue
-                inc = cand.get(p)
-                if inc is None or pl < inc[0] or (pl == inc[0] and e < inc[1]):
-                    cand[p] = (pl, e, si)
-    for t, (pl, v, si) in cand.items():
-        kind[t] = _PEER
-        via[t] = v
-        root[t] = si
-        plen[t] = pl
-
-    # ---- Phase 3: routes descend provider->customer edges ------------------
-    heap = []
-    for e in ct.cust_nodes:
-        k = kind[e]
-        if not k:
-            continue
-        cu = customers[e]
-        if k == _ORIGIN:
-            for si in specs_of_origin[e]:
-                _oi, epath, eset, ato = specs[si]
-                base = len(epath) * n2 + e * n
-                for c in cu:
-                    casn = asns[c]
-                    if (ato is None or casn in ato) and casn not in eset:
-                        push_(heap, (base + c, epath, si))
-        else:
-            si = root[e]
-            eset = spec_sets[si]
-            base = (plen[e] + 1) * n2 + e * n
-            for c in cu:
-                if not kind[c] and asns[c] not in eset:
-                    push_(heap, (base + c, _NO_RANK, si))
-    while heap:
-        key, _rank, si = pop_(heap)
-        t = key % n
-        if kind[t]:
-            continue
-        rest = key // n
-        kind[t] = _PROVIDER
-        via[t] = rest % n
-        root[t] = si
-        plen[t] = rest // n
-        nbase = key - key % n2 + n2 + t * n
-        eset = spec_sets[si]
-        for c in customers[t]:
-            if not kind[c] and asns[c] not in eset:
-                push_(heap, (nbase + c, _NO_RANK, si))
-
-    return kind, via, root, plen
-
-
-def _converge_single(
-    ct: CompiledTopology,
-    oi: int,
-    epath: Tuple[int, ...],
-    eset: FrozenSet[int],
-    ato: Optional[FrozenSet[int]],
-) -> TableT:
-    """Single-origin-spec fast path: heap-free, level-synchronous frontier
-    batching.  This is the sweep workhorse.
-
-    With one spec every edge has unit weight, so the phase-1/phase-3
-    Dijkstra degenerates into a BFS by path-length *levels*.  Processing
-    levels in ascending order, and the frontier of each level in
-    ascending exporter index (= ascending via ASN), makes the first
-    writer of a slot the minimum ``(pathlen, via, target)`` key — exactly
-    the reference heap's pop order, without a single heap operation.
-
-    The two pop-time predicates ("already has a route" and "ASN appears
-    on the export path") fuse into one ``avail`` bytearray: a slot is 1
-    iff it is neither settled nor blocked by the export set, so the
-    per-edge inner loop is one C-level index read.
-    """
-    n = ct.n
-    asns = ct.asns
-    providers = ct.providers
-    customers = ct.customers
-    peers = ct.peers
-
-    kind = bytearray(n)
-    via: List[int] = [-1] * n
-    plen: List[int] = [0] * n
-    kind[oi] = _ORIGIN
-    pl0 = len(epath)
-
-    avail = bytearray(b"\x01") * n
-    avail[oi] = 0
-    if len(eset) > 1:  # poison / suffix ASNs present in the graph block slots
-        idx_get = ct.idx.get
-        for blocked_asn in eset:
-            bi = idx_get(blocked_asn)
-            if bi is not None:
-                avail[bi] = 0
-
-    # ---- Phase 1: up provider edges (level-batched BFS) --------------------
-    frontier: List[int] = []
-    for p in providers[oi]:
-        if avail[p] and (ato is None or asns[p] in ato):
-            avail[p] = 0
-            kind[p] = _CUSTOMER
-            via[p] = oi
-            plen[p] = pl0
-            frontier.append(p)
-    lvl = pl0
-    while frontier:
-        frontier.sort()
-        lvl += 1
-        nxt: List[int] = []
-        for v in frontier:
-            for t in providers[v]:
-                if avail[t]:
-                    avail[t] = 0
-                    kind[t] = _CUSTOMER
-                    via[t] = v
-                    plen[t] = lvl
-                    nxt.append(t)
-        frontier = nxt
-
-    # ---- Phase 2: one peer hop ---------------------------------------------
-    # Exporters iterate in ascending index, so the first candidate seen at
-    # a given path length already has the lowest via — the incumbent check
-    # needs only the strict length comparison.
-    cand: Dict[int, Tuple[int, int]] = {}
     cand_get = cand.get
     for e in ct.peer_nodes:
         k = kind[e]
         if not k:
             continue
         if k == _ORIGIN:
-            pl = pl0
-            for p in peers[e]:
-                if not avail[p] or (ato is not None and asns[p] not in ato):
+            # Later specs of the same origin overwrite earlier ones per
+            # peer (reference dict-comprehension semantics).
+            offer: Dict[int, int] = {}
+            for si in specs_of_origin[e]:
+                ato = specs[si][3]
+                for p in peers[e]:
+                    if ato is None or asns[p] in ato:
+                        offer[p] = si
+            for p, si in offer.items():
+                blk = blocked[si]
+                if not avail[p] or (blk is not None and p in blk):
                     continue
+                if security is not None and (p in drops[si] or omask[si] & rej[p]):
+                    continue
+                pl = len(specs[si][1])
                 inc = cand_get(p)
                 if inc is None or pl < inc[0]:
-                    cand[p] = (pl, e)
-        else:
-            pl = plen[e] + 1
+                    cand[p] = (pl, e, si)
+            continue
+        pl = plen[e] + 1
+        si = root[e]
+        blk = blocked[si]
+        if security is None and blk is None:
             for p in peers[e]:
-                if not avail[p]:
-                    continue
+                if avail[p]:
+                    inc = cand_get(p)
+                    if inc is None or pl < inc[0]:
+                        cand[p] = (pl, e, si)
+            continue
+        drop = drops[si] if security is not None else frozenset()
+        m = fmask[e] if security is not None else 0
+        for p in peers[e]:
+            if (
+                avail[p]
+                and (blk is None or p not in blk)
+                and p not in drop
+                and (not m or not m & rej[p])
+            ):
                 inc = cand_get(p)
                 if inc is None or pl < inc[0]:
-                    cand[p] = (pl, e)
-    for t, (pl, v) in cand.items():
+                    cand[p] = (pl, e, si)
+    for t, (pl, v, si) in cand.items():
         avail[t] = 0
         kind[t] = _PEER
         via[t] = v
+        root[t] = si
         plen[t] = pl
+        if security is not None:
+            fmask[t] = (omask[si] if kind[v] == _ORIGIN else fmask[v]) | bit[v]
 
-    # ---- Phase 3: down customer edges (bucketed by export path length) ----
-    # Origin exports sit at pl0, strictly below every other exporter
-    # (plen >= pl0 everywhere), so they settle first unconditionally.
+    # ---- Phase 3: routes descend provider->customer edges ------------------
     buckets: Dict[int, List[int]] = {}
-    bucket_of = buckets.setdefault
     for e in ct.cust_nodes:
         k = kind[e]
         if k and k != _ORIGIN:
-            bucket_of(plen[e] + 1, []).append(e)
-    frontier = []
-    for c in customers[oi]:
-        if avail[c] and (ato is None or asns[c] in ato):
-            avail[c] = 0
-            kind[c] = _PROVIDER
-            via[c] = oi
-            plen[c] = pl0
-            frontier.append(c)
-    if frontier:
-        bucket_of(pl0 + 1, []).extend(frontier)
-    while buckets:
-        lvl = min(buckets)
-        frontier = buckets.pop(lvl)
-        frontier.sort()
-        nxt = []
-        for v in frontier:
-            for t in customers[v]:
-                if avail[t]:
-                    avail[t] = 0
-                    kind[t] = _PROVIDER
-                    via[t] = v
-                    plen[t] = lvl
-                    nxt.append(t)
-        if nxt:
-            bucket_of(lvl + 1, []).extend(nxt)
-
-    return kind, via, [0] * n, plen
-
-
-def _converge_secure(
-    ct: CompiledTopology,
-    specs: Sequence[SpecT],
-    sec: "CompiledSecurity",
-) -> TableT:
-    """The three Gao–Rexford phases with per-AS security filters.
-
-    Mirrors :func:`_converge` exactly, with two additions derived from a
-    :class:`~repro.secroute.policy.CompiledSecurity`:
-
-    * **ROV drop sets** — per spec, the node indices refusing routes of
-      that spec's (Invalid) origin; checked wherever a node would accept
-      a route.
-    * **Peerlock masks** — ``fmask[i]`` tracks the protected/tier-1 bits
-      of node i's AS path (i itself excluded, mirroring the reference's
-      ``path[1:]`` tail check which skips the first hop).  A candidate
-      popped at ``t`` via ``v`` has tail mask ``fmask[v]`` (or the
-      spec's export-path tail mask ``omask[si]`` for direct origin
-      pushes, distinguished by the rank field exactly as in
-      :func:`_converge`), and commits ``fmask[t] = m | bit(v)``.
-
-    Rejected candidates are skipped without finalizing the slot, so a
-    worse candidate can still fill it later — identical semantics to the
-    reference's pop-time ``security.rejects`` check.  There is no bare-int
-    single-spec fast path here: security runs are correctness-oriented
-    and always carry ``(key, rank, spec)`` tuples plus the mask arrays.
-    """
-    n = ct.n
-    n2 = n * n
-    asns = ct.asns
-    providers = ct.providers
-    customers = ct.customers
-    peers = ct.peers
-    push_ = heappush
-    pop_ = heappop
-
-    # -- index the compiled policy against this topology ---------------------
-    idx = ct.idx
-    drop_idx: List[frozenset] = []
-    omask: List[int] = []
-    for _oi, epath, _eset, _ato in specs:
-        droppers = sec.drops.get(epath[-1])
-        drop_idx.append(
-            frozenset(idx[a] for a in droppers if a in idx)
-            if droppers else frozenset()
-        )
-        omask.append(sec.path_mask(epath[1:]))
-    bit_get = sec.bits.get
-    pm_get = sec.pmask.get
-    lite = sec.lite
-    t1 = sec.t1mask
-    bit_arr = [bit_get(a, 0) for a in asns]
-    pl_arr = [pm_get(a, 0) for a in asns]
-    lt_arr = [t1 if a in lite else 0 for a in asns]
-
-    kind = bytearray(n)
-    via: List[int] = [-1] * n
-    root: List[int] = [-1] * n
-    plen: List[int] = [0] * n
-    fmask: List[int] = [0] * n
-
-    for oi, _epath, _eset, _ato in specs:
-        kind[oi] = _ORIGIN
-    spec_sets = [s[2] for s in specs]
-
-    # ---- Phase 1: customer routes climb provider edges ---------------------
-    heap: List[Tuple[int, Tuple[int, ...], int]] = []
-    for si, (oi, epath, eset, ato) in enumerate(specs):
-        base = len(epath) * n2 + oi * n
-        for p in providers[oi]:
-            pasn = asns[p]
-            if (ato is None or pasn in ato) and pasn not in eset:
-                push_(heap, (base + p, epath, si))
-    while heap:
-        key, rank, si = pop_(heap)
-        t = key % n
-        if kind[t]:
-            continue
-        rest = key // n
-        v = rest % n
-        m = omask[si] if rank else fmask[v]
-        if t in drop_idx[si]:
-            continue
-        if m & (pl_arr[t] | lt_arr[t]):  # from a customer: lite applies
-            continue
-        kind[t] = _CUSTOMER
-        via[t] = v
-        root[t] = si
-        plen[t] = rest // n
-        fmask[t] = m | bit_arr[v]
-        nbase = key - key % n2 + n2 + t * n
-        eset = spec_sets[si]
-        for p in providers[t]:
-            if not kind[p] and asns[p] not in eset:
-                push_(heap, (nbase + p, _NO_RANK, si))
-
-    # ---- Phase 2: one hop across peer edges --------------------------------
-    specs_of_origin: Dict[int, List[int]] = {}
-    for si, (oi, _epath, _eset, _ato) in enumerate(specs):
-        specs_of_origin.setdefault(oi, []).append(si)
-    cand: Dict[int, Tuple[int, int, int, int]] = {}
-    for e in ct.peer_nodes:
-        k = kind[e]
-        if not k:
-            continue
-        pe = peers[e]
-        if k == _ORIGIN:
-            base_spec: Dict[int, Tuple[int, int]] = {}
-            for si in specs_of_origin[e]:
-                _oi, epath, eset, ato = specs[si]
-                pl = len(epath)
-                for p in pe:
-                    if ato is None or asns[p] in ato:
-                        base_spec[p] = (pl, si)
-            for p, (pl, si) in base_spec.items():
-                if kind[p] or asns[p] in spec_sets[si]:
-                    continue
-                if p in drop_idx[si] or omask[si] & pl_arr[p]:
-                    continue
-                inc = cand.get(p)
-                if inc is None or pl < inc[0] or (pl == inc[0] and e < inc[1]):
-                    cand[p] = (pl, e, si, omask[si])
-        else:
-            pl = plen[e] + 1
-            si = root[e]
-            eset = spec_sets[si]
-            m = fmask[e]
-            for p in pe:
-                if kind[p] or asns[p] in eset:
-                    continue
-                if p in drop_idx[si] or m & pl_arr[p]:
-                    continue
-                inc = cand.get(p)
-                if inc is None or pl < inc[0] or (pl == inc[0] and e < inc[1]):
-                    cand[p] = (pl, e, si, m)
-    for t, (pl, v, si, m) in cand.items():
-        kind[t] = _PEER
-        via[t] = v
-        root[t] = si
-        plen[t] = pl
-        fmask[t] = m | bit_arr[v]
-
-    # ---- Phase 3: routes descend provider->customer edges ------------------
-    heap = []
-    for e in ct.cust_nodes:
-        k = kind[e]
-        if not k:
-            continue
-        cu = customers[e]
-        if k == _ORIGIN:
-            for si in specs_of_origin[e]:
-                _oi, epath, eset, ato = specs[si]
-                base = len(epath) * n2 + e * n
-                for c in cu:
-                    casn = asns[c]
-                    if (ato is None or casn in ato) and casn not in eset:
-                        push_(heap, (base + c, epath, si))
-        else:
-            si = root[e]
-            eset = spec_sets[si]
-            base = (plen[e] + 1) * n2 + e * n
-            for c in cu:
-                if not kind[c] and asns[c] not in eset:
-                    push_(heap, (base + c, _NO_RANK, si))
-    while heap:
-        key, rank, si = pop_(heap)
-        t = key % n
-        if kind[t]:
-            continue
-        rest = key // n
-        v = rest % n
-        m = omask[si] if rank else fmask[v]
-        if t in drop_idx[si]:
-            continue
-        if m & pl_arr[t]:  # provider route: lite does not apply
-            continue
-        kind[t] = _PROVIDER
-        via[t] = v
-        root[t] = si
-        plen[t] = rest // n
-        fmask[t] = m | bit_arr[v]
-        nbase = key - key % n2 + n2 + t * n
-        eset = spec_sets[si]
-        for c in customers[t]:
-            if not kind[c] and asns[c] not in eset:
-                push_(heap, (nbase + c, _NO_RANK, si))
-
-    return kind, via, root, plen
+            lvl = plen[e] + 1
+            bucket = buckets.get(lvl)
+            if bucket is None:
+                buckets[lvl] = [e]
+            else:
+                bucket.append(e)
+    _settle_levels(
+        ct.customers, _PROVIDER, buckets, seeds, specs, blocked, asns,
+        table, avail, sec3, fused,
+    )
+    return table
 
 
 def _spec_diff(
@@ -770,6 +649,260 @@ def _spec_diff(
     return remap, dirty_old, dirty_new
 
 
+# Reseed work for one delta phase, per path-length level: exporters whose
+# every ``adj`` neighbor is a candidate; boundary offers (exporter ->
+# specific targets); origin offers (origin -> {spec: targets, None = all
+# ``adj`` neighbors its announce_to admits}).
+_ExpT = Dict[int, List[int]]
+_PairT = Dict[int, Dict[int, List[int]]]
+_OriginT = Dict[int, Dict[int, Dict[int, Optional[List[int]]]]]
+
+
+def _seed_boundary(
+    targets: Sequence[int],
+    adj: List[Tuple[int, ...]],
+    min_kind: int,
+    skip: Sequence[int],
+    stable_of: Dict[int, List[int]],
+    specs: Sequence[SpecT],
+    blocked: Sequence[Optional[FrozenSet[int]]],
+    asns: List[int],
+    table: TableT,
+    sec: Optional[_SecLoopT],
+    pairs: _PairT,
+    origins: _OriginT,
+) -> None:
+    """Seed each empty slot in ``targets`` with the offers that can
+    still settle it: of the routes its ``adj`` neighbors export (kind
+    ``>= min_kind``, not marked in ``skip`` — those re-expand on their
+    own), only the minimum ``(pathlen, via)`` one the security filter
+    accepts.  Every other offer would reach the slot after it settled
+    and lose.  The exception is an origin's specs tied at that minimum,
+    which all stay so the reseed meets the same cross-spec tie the
+    full run does.  ``stable_of`` lists each origin's unchanged specs
+    in export-path order."""
+    kind, via, root, plen = table
+    fmask: List[int] = []
+    drops: List[FrozenSet[int]] = []
+    rej: List[int] = []
+    if sec is not None:
+        fmask, drops, _omask, _bit, rej = sec
+    none = 1 << 30
+    best_v = -1
+    best_grp: Optional[List[int]] = None
+    for t in targets:
+        if kind[t]:
+            continue
+        best_pl = none
+        for v in adj[t]:  # ascending: the first offer at a length wins
+            kv = kind[v]
+            if kv < min_kind:
+                continue
+            if kv == _ORIGIN:
+                grp = _origin_offer(
+                    t, stable_of.get(v, ()), best_pl, specs, blocked, asns,
+                    sec,
+                )
+                if grp:
+                    best_pl = len(specs[grp[0]][1])
+                    best_v = v
+                    best_grp = grp
+                continue
+            if skip[v]:
+                continue
+            pl = plen[v] + 1
+            if pl >= best_pl:
+                continue
+            si = root[v]
+            blk = blocked[si]
+            if blk is not None and t in blk:
+                continue
+            if sec is not None and (t in drops[si] or fmask[v] & rej[t]):
+                continue
+            best_pl = pl
+            best_v = v
+            best_grp = None
+        if best_pl == none:
+            continue
+        if best_grp is None:
+            level = pairs.get(best_pl)
+            if level is None:
+                level = pairs[best_pl] = {}
+            lst = level.get(best_v)
+            if lst is None:
+                level[best_v] = [t]
+            else:
+                lst.append(t)
+        else:
+            by_spec = origins.setdefault(best_pl, {}).setdefault(best_v, {})
+            for si in best_grp:
+                lst2 = by_spec.get(si)
+                if lst2 is None:
+                    by_spec[si] = [t]
+                else:
+                    lst2.append(t)
+
+
+def _origin_offer(
+    t: int,
+    stable: Sequence[int],
+    below: int,
+    specs: Sequence[SpecT],
+    blocked: Sequence[Optional[FrozenSet[int]]],
+    asns: List[int],
+    sec: Optional[_SecLoopT],
+) -> List[int]:
+    """The specs (in ``stable`` order) through which one origin offers
+    slot t its shortest route the security filter accepts, if that is
+    shorter than ``below``: every spec tied at that length, accepted or
+    not, as the reference meets them all at one heap key."""
+    tasn = asns[t]
+    offers: List[Tuple[int, int]] = []
+    best = below
+    for si in stable:
+        _oi, epath, _eset, ato = specs[si]
+        blk = blocked[si]
+        if (ato is not None and tasn not in ato) or (
+            blk is not None and t in blk
+        ):
+            continue
+        pl = len(epath)
+        offers.append((pl, si))
+        if pl < best:
+            if sec is not None:
+                _fmask, drops, omask, _bit, rej = sec
+                if t in drops[si] or omask[si] & rej[t]:
+                    continue
+            best = pl
+    return [si for pl, si in offers if pl == best] if best < below else []
+
+
+def _reseed_levels(
+    adj: List[Tuple[int, ...]],
+    code: int,
+    exp: _ExpT,
+    pairs: _PairT,
+    origins: _OriginT,
+    rank_of: Sequence[int],
+    specs: Sequence[SpecT],
+    blocked: Sequence[Optional[FrozenSet[int]]],
+    asns: List[int],
+    table: TableT,
+    touched: bytearray,
+    settled: List[int],
+    sec: Optional[_SecLoopT],
+) -> None:
+    """One delta phase over a partly frozen table, on the same level loop
+    as :func:`_settle_levels`: levels ascend, and within a level the
+    vias ascend (an origin's specs in ``rank_of`` order), which is the
+    order the reference heap pops candidates in.
+
+    Each candidate ``(level, via, spec)`` at slot t follows the
+    frozen-entry rules.  A slot of a better kind ignores it.  An empty
+    or worse-kind slot takes it (after the security filter).  A slot of
+    the same kind compares ``(pathlen, via)``: an equal key from another
+    spec, or any improvement under security, raises
+    :class:`_DeltaUnsupported`; an equal length with a lower via
+    reroutes in place (the children's keys do not move); a strictly
+    shorter path settles and re-expands.  An exporter whose path got
+    shorter after it was queued is skipped at its old level: its new
+    expansion already reached every target with a better key.
+
+    Slots settled here are appended to ``settled``."""
+    kind, via, root, plen = table
+    fmask: List[int] = []
+    drops: List[FrozenSet[int]] = []
+    omask: List[int] = []
+    bit: List[int] = []
+    rej: List[int] = []
+    if sec is not None:
+        fmask, drops, omask, bit, rej = sec
+    while exp or pairs or origins:
+        lvl = min(min(exp, default=1 << 30), min(pairs, default=1 << 30),
+                  min(origins, default=1 << 30))
+        frontier = exp.pop(lvl, [])
+        pair_at = pairs.pop(lvl, None)
+        origin_at = origins.pop(lvl, None)
+        expanding: Optional[Set[int]] = None
+        if pair_at or origin_at:
+            expanding = set(frontier)
+            order = sorted(expanding.union(pair_at or (), origin_at or ()))
+        else:
+            frontier.sort()
+            order = frontier
+        nxt: List[int] = []
+        for v in order:
+            jobs: List[Tuple[int, int, Sequence[int]]] = []
+            if origin_at is not None and v in origin_at:
+                by_spec = origin_at[v]
+                for si in sorted(by_spec, key=rank_of.__getitem__):
+                    only = by_spec[si]
+                    ato = specs[si][3]
+                    jobs.append((
+                        si,
+                        omask[si] if sec is not None else 0,
+                        [t for t in adj[v] if ato is None or asns[t] in ato]
+                        if only is None else only,
+                    ))
+            else:
+                if plen[v] + 1 != lvl:
+                    continue
+                si = root[v]
+                tg: Sequence[int] = adj[v]
+                if expanding is not None and v not in expanding:
+                    tg = pair_at[v] if pair_at is not None else ()
+                jobs.append((si, fmask[v] if sec is not None else 0, tg))
+            for si, m, targets in jobs:
+                blk = blocked[si]
+                for t in targets:
+                    kt = kind[t]
+                    if kt > code or (blk is not None and t in blk):
+                        continue
+                    if kt == code:
+                        pt = plen[t]
+                        if lvl > pt:
+                            continue
+                        if lvl == pt:
+                            vt = via[t]
+                            if v > vt:
+                                continue
+                            if v == vt:
+                                if root[t] != si:
+                                    # equal (plen, via) across specs: the
+                                    # reference breaks it on export-path
+                                    # content the frozen entry predates
+                                    raise _DeltaUnsupported
+                                continue
+                        if sec is not None:
+                            # improving a frozen entry would stale the
+                            # path masks of its subtree
+                            raise _DeltaUnsupported
+                        if lvl == pt:
+                            if si != root[t]:
+                                raise _DeltaUnsupported
+                            via[t] = v
+                            touched[t] = 1
+                            continue
+                    elif sec is not None:
+                        if t in drops[si] or m & rej[t]:
+                            continue
+                        fmask[t] = m | bit[v]
+                    kind[t] = code
+                    via[t] = v
+                    root[t] = si
+                    plen[t] = lvl
+                    touched[t] = 1
+                    settled.append(t)
+                    if adj[t]:
+                        nxt.append(t)
+        if nxt:
+            bucket = exp.get(lvl + 1)
+            if bucket is None:
+                exp[lvl + 1] = nxt
+            else:
+                bucket.extend(nxt)
+
+
 def _converge_delta(
     ct: CompiledTopology,
     old_specs: Sequence[SpecT],
@@ -783,42 +916,42 @@ def _converge_delta(
     The route table makes withdrawal exact: ``root`` is constant along
     every via chain, so the cone of a changed spec is precisely the slots
     whose root is that spec — clear them, remap surviving roots, and
-    re-run the three phases over a heap seeded only at the boundary:
+    re-run the three phases from the boundary only:
 
     * dirty specs announce fresh from their origins,
-    * surviving holders adjacent to a cleared slot re-offer their routes,
+    * each cleared slot is offered the best route its surviving
+      neighbors export,
     * phase 2 pull-recomputes exactly the peers of changed exporters,
     * phase 3 first invalidates the provider-route subtrees hanging off
       any changed exporter (old-children walk), then reseeds.
 
-    Surviving entries are *frozen*: a popped candidate only touches one
-    when it strictly beats it, and every improvement re-pushes its
-    expansions so the cascade rewrites the affected subtree.  Because
-    heap keys pop in ascending order, any pop that beats a stored entry
-    is necessarily beating frozen (old-run) state — new-run settles are
-    already minimal.  Two corners where exact reference semantics would
-    need more than the frozen table offers raise
-    :class:`_DeltaUnsupported` (caller falls back to a full run): equal
-    ``(plen, via)`` ties resolved on export-path content across different
-    specs, and improvements into frozen entries while security filters
-    are active (downstream path masks would go stale).
+    Phases 1 and 3 run on :func:`_reseed_levels`, the level loop of the
+    full converge with surviving entries *frozen*: a candidate only
+    touches one when it strictly beats it, and every improvement
+    re-expands so the cascade rewrites the affected subtree.  Because
+    levels ascend, any candidate that beats a stored entry is beating
+    frozen (old-run) state — new-run settles are already minimal.  Two
+    corners where exact reference semantics would need more than the
+    frozen table offers raise :class:`_DeltaUnsupported` (caller falls
+    back to a full run): equal ``(plen, via)`` ties resolved on
+    export-path content across different specs, and improvements into
+    frozen entries while security filters are active (downstream path
+    masks would go stale).
 
     Returns ``((kind, via, root, plen), touched)`` with ``touched`` the
     number of slots examined/rewritten, or ``None`` when no old spec
-    survives (a full run does the same work).
+    survives (a full run does the same work) or the dirty region
+    outgrows the cone bail.
     """
     remap, dirty_old, dirty_new = _spec_diff(old_specs, new_specs)
     if not remap:
         return None
 
     n = ct.n
-    n2 = n * n
     asns = ct.asns
     providers = ct.providers
     customers = ct.customers
     peers = ct.peers
-    push_ = heappush
-    pop_ = heappop
 
     kind0, via0, root0, plen0 = old_table
     kind = bytearray(kind0)
@@ -841,8 +974,12 @@ def _converge_delta(
                 m = remap.get(root0[i])
                 if m is not None:
                     root[i] = m
+    table: TableT = (kind, via, root, plen)
 
     touched = bytearray(n)
+    # Every slot that went route->empty, in clearing order.  Only kind
+    # is reset when a slot clears; via/root/plen of slots still empty at
+    # the end are reset then (nothing reads them while kind is 0).
     cleared: List[int] = []
     # A dirty cone covering a third of the graph can't be meaningfully
     # cheaper than full re-convergence (and the odds that some candidate
@@ -853,32 +990,33 @@ def _converge_delta(
     # threshold, not with n.  Tests widen the denominator to force cone
     # attempts on large regions.
     bail_at = n // _CONE_BAIL_DEN
+    # Old dependence children of v are among its neighbors; a peer or
+    # provider route is exported to customers only, so those slots'
+    # children are among their customers.
     nbrs = ct.children_index()
 
     # ---- Withdraw: root is constant along via chains, so the slots
     # rooted in a dirty spec are exactly the old dependence subtree of
-    # its origin, restricted to dirty roots.  Walking that subtree over
-    # the children index costs O(cone edges) instead of an O(n) scan.
+    # its origin, restricted to dirty roots at the first hop.  Relations
+    # are exclusive, so each slot is met once, from its old via.
     for o in {old_specs[si][0] for si in dirty_old}:
-        stack = [o]
-        while stack:
-            v2 = stack.pop()
-            for t in nbrs[v2]:
-                k = kind[t]
-                if (
-                    k and k != _ORIGIN
-                    and via0[t] == v2
-                    and root0[t] in dirty_old_set
-                ):
-                    kind[t] = 0
-                    via[t] = -1
-                    root[t] = -1
-                    plen[t] = 0
-                    touched[t] = 1
-                    cleared.append(t)
-                    stack.append(t)
-            if len(cleared) > bail_at:
-                return None
+        for t in nbrs[o]:
+            if via0[t] == o and root0[t] in dirty_old_set:
+                kind[t] = 0
+                touched[t] = 1
+                cleared.append(t)
+    size = len(cleared)
+    if size > bail_at:
+        return None
+    for v2 in cleared:  # iteration picks up the slots appended below
+        for t in nbrs[v2] if kind0[v2] == _CUSTOMER else customers[v2]:
+            if via0[t] == v2:
+                kind[t] = 0
+                touched[t] = 1
+                cleared.append(t)
+                size += 1
+                if size > bail_at:
+                    return None
 
     # ---- Origin status changes invalidate whole dependence subtrees:
     # an AS that gains or loses origin status changes every route whose
@@ -888,25 +1026,17 @@ def _converge_delta(
     new_orig = {s[0] for s in new_specs}
     osc = old_orig ^ new_orig
     if osc:
-        stack = []
         for o in osc:
-            if kind[o]:
-                kind[o] = 0
-                via[o] = -1
-                plen[o] = 0
-                root[o] = -1
+            kind[o] = 0
             if not touched[o]:
                 touched[o] = 1
                 cleared.append(o)
-            stack.append(o)
+        stack = list(osc)
         while stack:
             v2 = stack.pop()
-            for d in nbrs[v2]:
-                if kind[d] and kind[d] != _ORIGIN and via0[d] == v2:
+            for d in nbrs[v2] if kind0[v2] >= _CUSTOMER else customers[v2]:
+                if via0[d] == v2 and kind[d]:
                     kind[d] = 0
-                    via[d] = -1
-                    plen[d] = 0
-                    root[d] = -1
                     touched[d] = 1
                     cleared.append(d)
                     stack.append(d)
@@ -918,31 +1048,22 @@ def _converge_delta(
                 via[o] = -1
                 plen[o] = 0
                 root[o] = -1
+    # The withdraw and origin-status walks clear whole old dependence
+    # subtrees, so these slots have no old children left to invalidate.
+    gone = bytes(touched)
 
-    # ---- Security tables (mirrors _converge_secure) and path-mask
+    # ---- Security tables (as _converge indexes them) and path-mask
     # reconstruction for survivors, parents before children.
-    drop_idx: List[FrozenSet[int]] = []
+    blocked = _blocked_sets(ct, new_specs)
+    sec_up: Optional[_SecLoopT] = None
+    sec_down: Optional[_SecLoopT] = None
+    drops: List[FrozenSet[int]] = []
     omask: List[int] = []
-    bit_arr: List[int] = []
-    pl_arr: List[int] = []
-    lt_arr: List[int] = []
+    bit: List[int] = []
+    rej: List[int] = []
     fmask: List[int] = []
     if sec is not None:
-        idx = ct.idx
-        for _oi, epath, _eset, _ato in new_specs:
-            droppers = sec.drops.get(epath[-1])
-            drop_idx.append(
-                frozenset(idx[a] for a in droppers if a in idx)
-                if droppers else frozenset()
-            )
-            omask.append(sec.path_mask(epath[1:]))
-        bit_get = sec.bits.get
-        pm_get = sec.pmask.get
-        lite = sec.lite
-        t1 = sec.t1mask
-        bit_arr = [bit_get(a, 0) for a in asns]
-        pl_arr = [pm_get(a, 0) for a in asns]
-        lt_arr = [t1 if a in lite else 0 for a in asns]
+        drops, omask, bit, rej_up, rej = _index_security(ct, new_specs, sec)
         fmask = [0] * n
         for i in sorted(
             (i for i, k in enumerate(kind) if k and k != _ORIGIN),
@@ -950,130 +1071,100 @@ def _converge_delta(
         ):
             v2 = via[i]
             base = omask[root[i]] if kind[v2] == _ORIGIN else fmask[v2]
-            fmask[i] = base | bit_arr[v2]
+            fmask[i] = base | bit[v2]
+        sec_up = (fmask, drops, omask, bit, rej_up)
+        sec_down = (fmask, drops, omask, bit, rej)
 
-    spec_sets = [s[2] for s in new_specs]
     specs_of_origin: Dict[int, List[int]] = {}
+    stable_of: Dict[int, List[int]] = {}
+    rank_of = [0] * len(new_specs)
+    for r, si in enumerate(sorted(
+        range(len(new_specs)),
+        key=lambda si: (new_specs[si][0], new_specs[si][1], si),
+    )):
+        rank_of[si] = r
+        soi = new_specs[si][0]
+        if si not in dirty_new_set:
+            stable_of.setdefault(soi, []).append(si)
     for si, (soi, _e, _s, _a) in enumerate(new_specs):
         specs_of_origin.setdefault(soi, []).append(si)
 
-    changed_p1: Set[int] = set(cleared)
+    def origin_seeds() -> _OriginT:
+        seeded: _OriginT = {}
+        for si in dirty_new:
+            soi, epath, _eset, _ato = new_specs[si]
+            seeded.setdefault(len(epath), {}).setdefault(soi, {})[si] = None
+        return seeded
 
     # ---- Phase 1 delta: dirty specs seed at their origins; survivors at
     # the withdrawal boundary re-offer routes into cleared slots.
-    heap: List[Tuple[int, Tuple[int, ...], int]] = []
-    for si in dirty_new:
-        soi, epath, eset, ato = new_specs[si]
-        base2 = len(epath) * n2 + soi * n
-        for p in providers[soi]:
-            pasn = asns[p]
-            if (ato is None or pasn in ato) and pasn not in eset:
-                push_(heap, (base2 + p, epath, si))
-    for t in cleared:
-        tasn = asns[t]
-        for c in customers[t]:
-            kc = kind[c]
-            if kc == _CUSTOMER:
-                si = root[c]
-                if tasn not in spec_sets[si]:
-                    push_(heap, ((plen[c] + 1) * n2 + c * n + t, _NO_RANK, si))
-            elif kc == _ORIGIN:
-                for si in specs_of_origin.get(c, ()):
-                    if si in dirty_new_set:
-                        continue
-                    _soi, epath, eset, ato = new_specs[si]
-                    if (ato is None or tasn in ato) and tasn not in eset:
-                        push_(heap, (len(epath) * n2 + c * n + t, epath, si))
-    while heap:
-        key, rank, si = pop_(heap)
-        t = key % n
-        kt = kind[t]
-        if kt == _ORIGIN:
-            continue
-        rest = key // n
-        v2 = rest % n
-        pl = rest // n
-        if kt == _CUSTOMER:
-            curkey = plen[t] * n2 + via[t] * n + t
-            if key > curkey:
-                continue
-            if key == curkey:
-                if root[t] != si:
-                    # equal (plen, via) across specs: reference breaks the
-                    # tie on export-path content the table doesn't keep
-                    raise _DeltaUnsupported
-                continue
-            if sec is not None:
-                # improving a frozen entry would stale downstream masks
-                raise _DeltaUnsupported
-            if pl == plen[t]:
-                if si != root[t]:
-                    raise _DeltaUnsupported
-                # same spec, same length, lower via: reroute in place —
-                # children's (plen, via) keys are unaffected.
-                via[t] = v2
-                touched[t] = 1
-                continue
-            # strictly shorter: settle below; expansions cascade through
-            # the old subtree with strictly better keys.
-        elif sec is not None:
-            m = omask[si] if rank else fmask[v2]
-            if t in drop_idx[si]:
-                continue
-            if m & (pl_arr[t] | lt_arr[t]):
-                continue
-            fmask[t] = m | bit_arr[v2]
-        kind[t] = _CUSTOMER
-        via[t] = v2
-        root[t] = si
-        plen[t] = pl
-        touched[t] = 1
-        changed_p1.add(t)
-        eset = spec_sets[si]
-        nbase = (pl + 1) * n2 + t * n
-        for p in providers[t]:
-            kp = kind[p]
-            if kp == _ORIGIN or asns[p] in eset:
-                continue
-            if kp == _CUSTOMER and nbase + p >= plen[p] * n2 + via[p] * n + p:
-                continue  # can't beat the incumbent
-            push_(heap, (nbase + p, _NO_RANK, si))
+    origins = origin_seeds()
+    pairs: _PairT = {}
+    # A cleared slot whose old route was not a customer route refused
+    # every surviving customer's offer in the old run, for reasons
+    # (export set, security filter) that still hold.
+    _seed_boundary(
+        [t for t in cleared if kind0[t] >= _CUSTOMER], customers, _CUSTOMER,
+        gone, stable_of, new_specs, blocked, asns, table, sec_up, pairs,
+        origins,
+    )
+    settled_p1: List[int] = []
+    _reseed_levels(
+        providers, _CUSTOMER, {}, pairs, origins, rank_of, new_specs,
+        blocked, asns, table, touched, settled_p1, sec_up,
+    )
 
     # ---- Phase 2 delta: pull-recompute exactly the peers of changed
     # exporters (and changed slots themselves).  Pulls read only
     # phase-1/origin state, so they are order-independent.
     dirty_origins = {old_specs[si][0] for si in dirty_old}
     dirty_origins.update(new_specs[si][0] for si in dirty_new)
-    exp_changed = changed_p1 | dirty_origins
-    # Per-target lists of *changed* adjacent exporters.  Offers from
-    # unchanged exporters are literally unchanged (exporter state, spec
-    # content, and security masks all survive), so most recomputes only
-    # need the old incumbent plus these lists — an IXP member with
-    # thousands of peers no longer rescans the whole mesh because one of
-    # them changed.  Targets whose old route was customer/origin (which
-    # shadowed every peer offer) still rescan in full.
+    # Exporters whose offers may differ: cleared, newly settled, and
+    # dirty origins (phase-2 changes join below).
+    changed = bytearray(gone)
+    offering = list(settled_p1)
+    for e in dirty_origins:
+        changed[e] = 1
+        if kind[e] == _ORIGIN:
+            offering.append(e)
+    for e in settled_p1:
+        changed[e] = 1
+    # Per-target lists of *changed* exporters that offer something now.
+    # Offers from unchanged exporters are literally unchanged (exporter
+    # state, spec content, and security masks all survive), so most
+    # recomputes only need the old incumbent plus these lists — an IXP
+    # member with thousands of peers does not rescan the whole mesh
+    # because one of them changed.  A changed exporter that offers
+    # nothing now only matters where it was the incumbent, and such a
+    # peer route was rooted with it and is cleared too.  Cleared slots
+    # whose old route shadowed or came from the peer mesh (customer,
+    # origin, peer) rescan in full.
     cand_of: Dict[int, List[int]] = {}
-    for e in exp_changed:
-        ke = kind[e]
-        if (not ke or ke == _PEER or ke == _PROVIDER) and peers[e]:
-            cand_of.setdefault(e, [])
+    for e in offering:
         for p in peers[e]:
-            kp = kind[p]
-            if not kp or kp == _PEER or kp == _PROVIDER:
-                cand_of.setdefault(p, []).append(e)
-    changed_p2: Set[int] = set()
+            if kind[p] < _CUSTOMER:
+                lst = cand_of.get(p)
+                if lst is None:
+                    cand_of[p] = [e]
+                else:
+                    lst.append(e)
+    for e in cleared:
+        if not kind[e] and kind0[e] >= _PEER and peers[e]:
+            cand_of.setdefault(e, [])
+    changed_p2: List[int] = []
     for t, cands in cand_of.items():
         k0t = kind0[t]
         dense = 4 * len(cands) >= len(peers[t])
+        scan: Sequence[int]
         if k0t == _PEER:
             e0 = via0[t]
             # incumbent unchanged: it still beats every unchanged rival
             # (it won the old run), so only it and the changed exporters
             # can produce the new minimum.  Dense candidate lists fall
             # back to the plain mesh scan — cheaper than set + sort.
-            scan: Sequence[int] = (
+            scan = (
                 peers[t]
-                if dense or e0 in exp_changed
+                if dense or changed[e0]
                 else sorted({e0, *cands})
             )
         elif not k0t or k0t == _PROVIDER:
@@ -1089,33 +1180,37 @@ def _converge_delta(
         best_m = 0
         for e in scan:  # ascending e: first win at a length is lowest via
             ke = kind[e]
+            if ke < _CUSTOMER:  # only customer routes and origins export
+                continue
             if ke == _ORIGIN:
                 sel = -1
                 for si in specs_of_origin.get(e, ()):
                     ato = new_specs[si][3]
                     if ato is None or tasn in ato:
                         sel = si  # later specs overwrite, as in reference
-                if sel < 0 or tasn in spec_sets[sel]:
+                if sel < 0:
+                    continue
+                blk = blocked[sel]
+                if blk is not None and t in blk:
                     continue
                 pl = len(new_specs[sel][1])
                 m = 0
                 if sec is not None:
                     m = omask[sel]
-                    if t in drop_idx[sel] or m & pl_arr[t]:
+                    if t in drops[sel] or m & rej[t]:
                         continue
                 si2 = sel
-            elif ke == _CUSTOMER:
+            else:
                 si2 = root[e]
-                if tasn in spec_sets[si2]:
+                blk = blocked[si2]
+                if blk is not None and t in blk:
                     continue
                 pl = plen[e] + 1
                 m = 0
                 if sec is not None:
                     m = fmask[e]
-                    if t in drop_idx[si2] or m & pl_arr[t]:
+                    if t in drops[si2] or m & rej[t]:
                         continue
-            else:
-                continue
             if best_pl < 0 or pl < best_pl:
                 best_pl = pl
                 best_e = e
@@ -1124,11 +1219,8 @@ def _converge_delta(
         if best_pl < 0:
             if kind[t] == _PEER:
                 kind[t] = 0
-                via[t] = -1
-                root[t] = -1
-                plen[t] = 0
                 touched[t] = 1
-                changed_p2.add(t)
+                changed_p2.append(t)
                 cleared.append(t)
         else:
             if (kind[t] != _PEER or via[t] != best_e
@@ -1138,119 +1230,70 @@ def _converge_delta(
                 root[t] = best_si
                 plen[t] = best_pl
                 touched[t] = 1
-                changed_p2.add(t)
+                changed_p2.append(t)
             if sec is not None:
-                fmask[t] = best_m | bit_arr[best_e]
+                fmask[t] = best_m | bit[best_e]
 
     # ---- Phase 3 delta: provider-route subtrees hanging off any changed
     # exporter are stale.  A slot still holding _PROVIDER here is an old
     # survivor (via == via0), and provider routes only ever point at a
     # topology customer — so walking customers[v2] and filtering on
-    # kind/via visits exactly the old via0-children, without building a
-    # full O(n) children array.
-    changed12 = exp_changed | changed_p2
-    stack2 = list(changed12)
+    # kind/via visits exactly the old via0-children.  Slots in `gone`
+    # have no old children left.
+    for e in changed_p2:
+        changed[e] = 1
+    resettled = settled_p1 + changed_p2
+    stack2 = [e for e in resettled if not gone[e]]
+    stack2.extend(dirty_origins)
     while stack2:
         v2 = stack2.pop()
         for d in customers[v2]:
             if kind[d] == _PROVIDER and via[d] == v2:
                 kind[d] = 0
-                via[d] = -1
-                root[d] = -1
-                plen[d] = 0
                 touched[d] = 1
                 cleared.append(d)
                 stack2.append(d)
 
-    heap = []
-    for si in dirty_new:
-        soi, epath, eset, ato = new_specs[si]
-        base2 = len(epath) * n2 + soi * n
-        for c in customers[soi]:
-            casn = asns[c]
-            if (ato is None or casn in ato) and casn not in eset:
-                push_(heap, (base2 + c, epath, si))
-    for e in changed12:
+    # Every cleared slot (withdraw, origin-status, phase-2 removal,
+    # phase-3 invalidation) still empty takes the best offer of its
+    # providers, so the reseed only visits the dirty region.  A changed
+    # exporter re-expands to all its customers, unless its offer got no
+    # shorter under export-set blocks at least as strict and no security
+    # filter: every customer that kept its old route refused the old
+    # offer (on key, kind or block) and refuses this one, so it is just
+    # one more offer to the cleared slots.
+    old_blocked = _blocked_sets(ct, old_specs)
+    expand = bytearray(n)
+    exp: _ExpT = {}
+    for e in resettled:
         ke = kind[e]
-        if ke == _CUSTOMER or ke == _PEER:
-            si = root[e]
-            eset = spec_sets[si]
-            base2 = (plen[e] + 1) * n2 + e * n
-            for c in customers[e]:
-                if asns[c] not in eset:
-                    push_(heap, (base2 + c, _NO_RANK, si))
-    # Every slot that went route->empty was appended to `cleared` when it
-    # was cleared (withdraw, origin-status, phase-2 removal, phase-3
-    # invalidation), so the reseed only visits the dirty region instead
-    # of scanning all n slots.  Re-settled slots skip via the kind check.
-    for t in cleared:
-        if kind[t]:
+        if not ke or not customers[e]:
             continue
-        tasn = asns[t]
-        for v2 in providers[t]:
-            kv = kind[v2]
-            if not kv:
+        k0e = kind0[e]
+        if sec is None and k0e and k0e != _ORIGIN and plen[e] >= plen0[e]:
+            ob = old_blocked[root0[e]]
+            nb = blocked[root[e]]
+            if ob is None or (nb is not None and ob <= nb):
                 continue
-            if kv == _ORIGIN:
-                for si in specs_of_origin.get(v2, ()):
-                    if si in dirty_new_set:
-                        continue
-                    _soi, epath, eset, ato = new_specs[si]
-                    if (ato is None or tasn in ato) and tasn not in eset:
-                        push_(heap, (len(epath) * n2 + v2 * n + t, epath, si))
-            elif v2 not in changed12:
-                si = root[v2]
-                if tasn not in spec_sets[si]:
-                    push_(heap, ((plen[v2] + 1) * n2 + v2 * n + t, _NO_RANK, si))
-    while heap:
-        key, rank, si = pop_(heap)
-        t = key % n
-        kt = kind[t]
-        if kt and kt != _PROVIDER:
-            continue
-        rest = key // n
-        v2 = rest % n
-        pl = rest // n
-        if kt == _PROVIDER:
-            curkey = plen[t] * n2 + via[t] * n + t
-            if key > curkey:
-                continue
-            if key == curkey:
-                if root[t] != si:
-                    raise _DeltaUnsupported
-                continue
-            if sec is not None:
-                raise _DeltaUnsupported
-            if pl == plen[t]:
-                if si != root[t]:
-                    raise _DeltaUnsupported
-                via[t] = v2
-                touched[t] = 1
-                continue
-        elif sec is not None:
-            m = omask[si] if rank else fmask[v2]
-            if t in drop_idx[si]:
-                continue
-            if m & pl_arr[t]:  # provider route: lite does not apply
-                continue
-            fmask[t] = m | bit_arr[v2]
-        kind[t] = _PROVIDER
-        via[t] = v2
-        root[t] = si
-        plen[t] = pl
-        touched[t] = 1
-        eset = spec_sets[si]
-        nbase = (pl + 1) * n2 + t * n
-        for c in customers[t]:
-            kc = kind[c]
-            if kc == 0:
-                if asns[c] not in eset:
-                    push_(heap, (nbase + c, _NO_RANK, si))
-            elif kc == _PROVIDER:
-                if asns[c] not in eset and nbase + c < plen[c] * n2 + via[c] * n + c:
-                    push_(heap, (nbase + c, _NO_RANK, si))
+        expand[e] = 1
+        exp.setdefault(plen[e] + 1, []).append(e)
+    origins = origin_seeds()
+    pairs = {}
+    _seed_boundary(
+        cleared, providers, _PROVIDER, expand, stable_of, new_specs,
+        blocked, asns, table, sec_down, pairs, origins,
+    )
+    _reseed_levels(
+        customers, _PROVIDER, exp, pairs, origins, rank_of, new_specs,
+        blocked, asns, table, touched, [], sec_down,
+    )
 
-    return (kind, via, root, plen), touched.count(1)
+    for t in cleared:
+        if not kind[t]:
+            via[t] = -1
+            root[t] = -1
+            plen[t] = 0
+    return table, touched.count(1)
 
 
 class CompiledOutcome(RoutingOutcome):
@@ -1559,6 +1602,7 @@ def _pool_run_chain(chain: Sequence[Tuple[ChainBlobT, int]]) -> ChainResultT:
     n = ct.n
     entries: List[ChainEntryT] = []
     counts = dict.fromkeys(_DELTA_MODES, 0)
+    counts["unsupported"] = 0  # fallbacks caused by _DeltaUnsupported
     saved = 0
     prev_specs: Optional[Tuple[SpecT, ...]] = None
     prev_slot = -2  # sec slot of the previous point (-1 = unsecured)
@@ -1602,6 +1646,7 @@ def _pool_run_chain(chain: Sequence[Tuple[ChainBlobT, int]]) -> ChainResultT:
                 res = _converge_delta(ct, prev_specs, table, specs, sec)
             except _DeltaUnsupported:
                 res = None
+                counts["unsupported"] += 1
             if res is not None:
                 table, frontier = res
                 mode = "cone"
@@ -1613,10 +1658,7 @@ def _pool_run_chain(chain: Sequence[Tuple[ChainBlobT, int]]) -> ChainResultT:
             table = None
             pending = 0
         if table is None:
-            table = (
-                _converge(ct, specs) if sec is None
-                else _converge_secure(ct, specs, sec)
-            )
+            table = _converge(ct, specs, sec)
             pending = 0
         counts[mode] += 1
         kind, via, root, plen = table
@@ -1677,6 +1719,12 @@ class PropagationEngine:
         self._delta_saved = self.metrics.counter(
             "peering_propagation_delta_saved_total",
             "AS slots reused from the previous route table by delta runs",
+        ).labels()
+        # The share of fallbacks that hit an exact-semantics corner
+        # (_DeltaUnsupported) rather than the cone-size bail.
+        self._delta_unsupported = self.metrics.counter(
+            "peering_propagation_delta_unsupported_total",
+            "Delta fallbacks forced by an exact-semantics corner",
         ).labels()
         # Parallel-sweep instrumentation: chains dispatched to pool
         # workers, worker-side regime counts (also folded into the
@@ -1773,7 +1821,9 @@ class PropagationEngine:
           route could change.
         * **fallback / full** — no reusable previous table (different
           graph version or security fingerprint, no stable specs, or an
-          exact-semantics corner): a normal full convergence.
+          exact-semantics corner): a normal full convergence.  A cone
+          attempt that hits an exact-semantics corner also counts in
+          ``stats()["delta_unsupported"]``.
 
         ``prev_outcome`` may be any outcome this engine produced for the
         *current* graph version under the same security fingerprint;
@@ -1868,16 +1918,14 @@ class PropagationEngine:
                     )
                 except _DeltaUnsupported:
                     res = None
+                    self._delta_unsupported.inc()
                 if res is not None:
                     table, frontier = res
                     mode = "cone"
                 else:
                     mode = "fallback"
         if table is None:
-            if security is None:
-                table = _converge(compiled, new_specs)
-            else:
-                table = _converge_secure(compiled, new_specs, security)
+            table = _converge(compiled, new_specs, security)
             frontier = compiled.n
         spec_paths = tuple(s[1] for s in new_specs)
         outcome = CompiledOutcome(
@@ -1905,10 +1953,7 @@ class PropagationEngine:
     ) -> CompiledOutcome:
         started = perf_counter()
         specs = _compile_specs(compiled, announcement)
-        if security is None:
-            table = _converge(compiled, specs)
-        else:
-            table = _converge_secure(compiled, specs, security)
+        table = _converge(compiled, specs, security)
         spec_paths = tuple(s[1] for s in specs)
         outcome = CompiledOutcome(
             self.graph, compiled, table, spec_paths,
@@ -2103,6 +2148,7 @@ class PropagationEngine:
                     )
                 chain_outcomes.append(outcome)
                 outcomes[pos] = outcome
+            self._delta_unsupported.inc(counts.pop("unsupported"))
             for mode, count in counts.items():
                 if count:
                     self._delta_runs.labels(mode).inc(count)
@@ -2127,6 +2173,7 @@ class PropagationEngine:
                 for mode in _DELTA_MODES
             },
             "delta_saved_slots": int(self._delta_saved.value),
+            "delta_unsupported": int(self._delta_unsupported.value),
             "parallel": {
                 "chains": int(self._par_chains.value),
                 "delta": {

@@ -193,7 +193,7 @@ class CompiledSecurity:
     The propagation paths consult exactly one predicate:
     :meth:`rejects`.  ``bits``/``pmask``/``t1mask`` expose the same
     decisions as bitmask arithmetic for the compiled engine's
-    mask-propagating converge loop (see ``_converge_secure``).
+    mask-propagating converge loop (see ``repro.inet.engine._converge``).
     """
 
     verdicts: Mapping[int, ValidationState]

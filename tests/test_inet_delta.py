@@ -295,6 +295,38 @@ class TestDeltaRegimes:
         assert engine.stats()["delta"]["fallback"] == 1
         assert_same_routes(propagate(hierarchy, moved), out)
 
+    def test_fallback_causes_counted_apart(self, hierarchy):
+        """Both fallback causes count as `fallback`; only the
+        exact-semantics corner counts as `delta_unsupported` (and in
+        its own metric), so a size bail is never mistaken for one."""
+        engine = PropagationEngine(hierarchy)
+        # Cone too large for the default bail: fallback, not unsupported.
+        both = Announcement(origins=(OriginSpec(asn=1), OriginSpec(asn=3)))
+        moved = Announcement(origins=(OriginSpec(asn=1), OriginSpec(asn=2)))
+        base = engine.propagate(both, use_cache=False)
+        engine.propagate_delta(base, moved, use_cache=False)
+        stats = engine.stats()
+        assert stats["delta"]["fallback"] == 1
+        assert stats["delta_unsupported"] == 0
+        # A new spec of AS7 ties the surviving one at AS5 with an equal
+        # (plen, via) key: the reference breaks that tie on export-path
+        # content, so the delta gives up.
+        old = Announcement(
+            origins=(OriginSpec(asn=7), OriginSpec(asn=7, prepend=1))
+        )
+        tie = Announcement(
+            origins=(OriginSpec(asn=7), OriginSpec(asn=7, announce_to=(5,)))
+        )
+        base = engine.propagate(old, use_cache=False)
+        with _wide_cone():
+            out = engine.propagate_delta(base, tie, use_cache=False)
+        assert_same_routes(propagate(hierarchy, tie), out)
+        stats = engine.stats()
+        assert stats["delta"]["fallback"] == 2
+        assert stats["delta_unsupported"] == 1
+        counter = engine.metrics.get("peering_propagation_delta_unsupported_total")
+        assert counter.labels().value == 1
+
     def test_stale_prev_outcome_degrades_to_full(self, hierarchy):
         engine = PropagationEngine(hierarchy)
         base = engine.propagate(Announcement.single(7), use_cache=False)

@@ -39,7 +39,10 @@ def graph_from_edges(c2p=(), p2p=()):
 
 def random_announcement(graph, rng, max_origins=3):
     """A random mix of the steering primitives, biased toward the common
-    single-origin case."""
+    single-origin case.  Some draws add a second spec of the first
+    origin whose export path ties the first one's in length (the
+    reference then breaks heap ties on export-path content), and some a
+    route-leak spec (``path_suffix``)."""
     asns = sorted(graph.asns())
     origins = []
     for _ in range(rng.choice([1, 1, 1, 2, max_origins])):
@@ -57,6 +60,23 @@ def random_announcement(graph, rng, max_origins=3):
         origins.append(
             OriginSpec(
                 asn=origin, prepend=prepend, poison=poison, announce_to=announce_to
+            )
+        )
+    if rng.random() < 0.3:
+        first = origins[0]
+        length = len(first.export_path())
+        if length > 1 and first.prepend != length - 1:
+            twin = OriginSpec(asn=first.asn, prepend=length - 1)
+        else:
+            twin = OriginSpec(
+                asn=first.asn, path_suffix=tuple(rng.sample(asns, length - 1))
+            )
+        origins.insert(rng.randint(0, len(origins)), twin)
+    if rng.random() < 0.25:
+        origins.append(
+            OriginSpec(
+                asn=rng.choice(asns),
+                path_suffix=tuple(rng.sample(asns, rng.randint(1, 3))),
             )
         )
     return Announcement(origins=tuple(origins))

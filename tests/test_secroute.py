@@ -302,6 +302,16 @@ def test_property_engines_agree_under_security(seed):
             origins=(OriginSpec(asn=victim), OriginSpec(asn=attacker)), prefix=V20
         ),
         Announcement.single(attacker, prefix=V24),
+        # Two specs of one origin with equal export-path lengths (the
+        # export-path tie-break), one of them a leak of the victim's
+        # route that ROV sees as valid and Peerlock may not.
+        Announcement(
+            origins=(
+                OriginSpec(asn=attacker, prepend=1),
+                OriginSpec(asn=attacker, path_suffix=(victim,)),
+            ),
+            prefix=V20,
+        ),
     ]
     for announcement in announcements:
         reference = secure_propagate(graph, announcement, policy)
